@@ -94,6 +94,22 @@ wait "$server_pid" 2>/dev/null || true
 kill "$idle2_pid" 2>/dev/null || true
 echo "server shut down cleanly with a client still connected"
 
+echo "== benchmark correctness smoke =="
+# One-second runs of the benchmark's headline offline and service
+# workloads. They exit non-zero when any correctness check fails: the
+# pooled schedules must equal the sequential reference bit for bit, pass
+# Schedule.check, and every DRAIN must match the in-process engine. No
+# timing is gated here.
+for workload in fleet-hf serve-hf; do
+  if ! bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+    >"$tmp/bench-$workload.out"; then
+    echo "FAIL: benchmark correctness checks failed on $workload:" >&2
+    cat "$tmp/bench-$workload.out" >&2
+    exit 1
+  fi
+  tail -n 1 "$tmp/bench-$workload.out"
+done
+
 echo "== core complexity sweep (fast workload) =="
 EXPERIMENTS=core DTSCHED_FAST=1 dune exec bench/main.exe
 

@@ -1,307 +1,400 @@
 type crit = Lcmr | Scmr | Mamr
 
-(* Height-balanced trees (Set-style AVL) over the unscheduled tasks, one
-   keyed by (comm, id) and one keyed by (mem, id), sharing a node type
-   whose subtree aggregates answer the decision-loop queries:
+(* The arrays behind an index, reused by every index built on the same
+   domain and grown to the largest task count seen. Slots are positions
+   in the caller's task array; "mem order" and "comm order" are the slots
+   sorted by (mem, id) and by (comm, id). Both trees are 1-based heaps
+   over [size] leaves (the next power of two), leaf [size + p] standing
+   for the slot at position [p] of its order; -1 marks "no task", and an
+   absent task's leaves read -1 / infinity.
 
-     lo        argmin (comm asc, id asc)      — the SCMR winner
-     hi        argmax comm, ties to lower id  — the LCMR winner
-     best      argmax (acceleration desc, id asc) — the MAMR winner
-     min_mem   smallest memory requirement    — prunes fitting searches
-
-   The fits-now test [used +. mem <= kcap] is monotone in mem, so the
-   fitting set is a key prefix of the (mem, id) tree: one descent
-   accumulates the aggregates of exactly the fitting tasks, whatever the
-   current memory level — no task ever migrates between fits/blocked
-   structures as memory fluctuates. *)
-type tree =
-  | Leaf
-  | Node of {
-      l : tree;
-      task : Task.t;
-      acc : float; (* Task.acceleration task, cached *)
-      r : tree;
-      h : int;
-      lo : Task.t;
-      hi : Task.t;
-      best : Task.t;
-      best_acc : float;
-      min_mem : float;
-    }
-
-let height = function Leaf -> 0 | Node n -> n.h
-
-(* Same total preorder as Dynamic_rules.better on the MAMR key. *)
-let better_acc acc_a id_a acc_b id_b =
-  let c = Float.compare acc_a acc_b in
-  c > 0 || (c = 0 && id_a < id_b)
-
-let pick_lo (a : Task.t) (b : Task.t) =
-  let c = Float.compare a.Task.comm b.Task.comm in
-  if c < 0 then a else if c > 0 then b else if a.Task.id <= b.Task.id then a else b
-
-let pick_hi (a : Task.t) (b : Task.t) =
-  let c = Float.compare a.Task.comm b.Task.comm in
-  if c > 0 then a else if c < 0 then b else if a.Task.id <= b.Task.id then a else b
-
-let node l task acc r =
-  let lo = ref task and hi = ref task in
-  let best = ref task and best_acc = ref acc and min_mem = ref task.Task.mem in
-  let absorb = function
-    | Leaf -> ()
-    | Node n ->
-        lo := pick_lo !lo n.lo;
-        hi := pick_hi !hi n.hi;
-        if better_acc n.best_acc n.best.Task.id !best_acc !best.Task.id then begin
-          best := n.best;
-          best_acc := n.best_acc
-        end;
-        if n.min_mem < !min_mem then min_mem := n.min_mem
-  in
-  absorb l;
-  absorb r;
-  Node
-    {
-      l;
-      task;
-      acc;
-      r;
-      h = 1 + max (height l) (height r);
-      lo = !lo;
-      hi = !hi;
-      best = !best;
-      best_acc = !best_acc;
-      min_mem = !min_mem;
-    }
-
-let bal l task acc r =
-  let hl = height l and hr = height r in
-  if hl > hr + 2 then
-    match l with
-    | Leaf -> assert false
-    | Node ln ->
-        if height ln.l >= height ln.r then node ln.l ln.task ln.acc (node ln.r task acc r)
-        else (
-          match ln.r with
-          | Leaf -> assert false
-          | Node lrn ->
-              node (node ln.l ln.task ln.acc lrn.l) lrn.task lrn.acc
-                (node lrn.r task acc r))
-  else if hr > hl + 2 then
-    match r with
-    | Leaf -> assert false
-    | Node rn ->
-        if height rn.r >= height rn.l then node (node l task acc rn.l) rn.task rn.acc rn.r
-        else (
-          match rn.l with
-          | Leaf -> assert false
-          | Node rln ->
-              node (node l task acc rln.l) rln.task rln.acc
-                (node rln.r rn.task rn.acc rn.r))
-  else node l task acc r
-
-let kcmp (a : Task.t) (b : Task.t) =
-  let c = Float.compare a.Task.comm b.Task.comm in
-  if c <> 0 then c else Task.compare_id a b
-
-let mcmp (a : Task.t) (b : Task.t) =
-  let c = Float.compare a.Task.mem b.Task.mem in
-  if c <> 0 then c else Task.compare_id a b
-
-let rec add_t cmp x xacc = function
-  | Leaf -> node Leaf x xacc Leaf
-  | Node n ->
-      let c = cmp x n.task in
-      if c < 0 then bal (add_t cmp x xacc n.l) n.task n.acc n.r
-      else if c > 0 then bal n.l n.task n.acc (add_t cmp x xacc n.r)
-      else assert false (* ids are unique, so the keys are too *)
-
-let rec min_node = function
-  | Leaf -> assert false
-  | Node { l = Leaf; task; acc; _ } -> (task, acc)
-  | Node { l; _ } -> min_node l
-
-let rec remove_min = function
-  | Leaf -> assert false
-  | Node { l = Leaf; r; _ } -> r
-  | Node n -> bal (remove_min n.l) n.task n.acc n.r
-
-let merge_t l r =
-  match (l, r) with
-  | Leaf, t | t, Leaf -> t
-  | _, _ ->
-      let task, acc = min_node r in
-      bal l task acc (remove_min r)
-
-let rec remove_t cmp x = function
-  | Leaf -> assert false (* membership checked against the id table *)
-  | Node n ->
-      let c = cmp x n.task in
-      if c < 0 then bal (remove_t cmp x n.l) n.task n.acc n.r
-      else if c > 0 then bal n.l n.task n.acc (remove_t cmp x n.r)
-      else merge_t n.l n.r
-
-(* Aggregates of the fitting prefix of the (mem, id) tree. *)
-type agg = { lo : Task.t; hi : Task.t; best : Task.t; best_acc : float }
-
-let combine a b =
-  let best, best_acc =
-    if better_acc a.best_acc a.best.Task.id b.best_acc b.best.Task.id then
-      (a.best, a.best_acc)
-    else (b.best, b.best_acc)
-  in
-  { lo = pick_lo a.lo b.lo; hi = pick_hi a.hi b.hi; best; best_acc }
-
-let combine_opt cur x = match cur with None -> Some x | Some a -> Some (combine a x)
-
-let rec fitting_agg fits t cur =
-  match t with
-  | Leaf -> cur
-  | Node n ->
-      if fits n.task.Task.mem then
-        (* node fits, hence its whole left subtree (smaller mem) does too *)
-        let cur =
-          match n.l with
-          | Leaf -> cur
-          | Node ln ->
-              combine_opt cur
-                { lo = ln.lo; hi = ln.hi; best = ln.best; best_acc = ln.best_acc }
-        in
-        let cur =
-          combine_opt cur { lo = n.task; hi = n.task; best = n.task; best_acc = n.acc }
-        in
-        fitting_agg fits n.r cur
-      else fitting_agg fits n.l cur
-
-(* The remaining searches run on the (comm, id) tree and are only needed
-   when the minimum-idle prefix excludes some fitting task (a "binding"
-   filter, see [select]). *)
-
-(* Rightmost fitting task of a subtree; the min_mem aggregate prunes
-   fully-unfitting subtrees, so a descent into a child either fails in
-   O(1) or is guaranteed to succeed. *)
-let rec last_fitting fits t =
-  match t with
-  | Leaf -> None
-  | Node n -> (
-      if not (fits n.min_mem) then None
-      else
-        match last_fitting fits n.r with
-        | Some _ as x -> x
-        | None -> if fits n.task.Task.mem then Some n.task else last_fitting fits n.l)
-
-(* Rightmost task satisfying the (downward-closed in comm) predicate and
-   fitting: if a node passes the predicate, so does its whole left
-   subtree. *)
-let rec last_eligible p fits t =
-  match t with
-  | Leaf -> None
-  | Node n -> (
-      if not (p n.task.Task.comm) then last_eligible p fits n.l
-      else
-        match last_eligible p fits n.r with
-        | Some _ as x -> x
-        | None -> if fits n.task.Task.mem then Some n.task else last_fitting fits n.l)
-
-(* Leftmost (smallest-id) fitting task of an exact comm-group. *)
-let rec first_in_group comm fits t =
-  match t with
-  | Leaf -> None
-  | Node n -> (
-      let c = Float.compare n.task.Task.comm comm in
-      if c < 0 then first_in_group comm fits n.r
-      else if c > 0 then first_in_group comm fits n.l
-      else
-        match first_in_group comm fits n.l with
-        | Some _ as x -> x
-        | None ->
-            if fits n.task.Task.mem then Some n.task else first_in_group comm fits n.r)
-
-let merge_best cur task acc =
-  match cur with
-  | None -> Some (task, acc)
-  | Some (bt, ba) ->
-      if better_acc acc task.Task.id ba bt.Task.id then Some (task, acc) else cur
-
-(* Best (acceleration desc, id asc) task that satisfies the predicate and
-   fits, pruning subtrees that cannot fit or cannot beat the incumbent.
-   Exhaustive over the eligible region in the worst case — but the region
-   is only searched when the filter is binding, which requires the CPU to
-   free up before the longest fitting transfer completes. *)
-let rec best_eligible p fits t cur =
-  match t with
-  | Leaf -> cur
-  | Node n ->
-      if not (fits n.min_mem) then cur
-      else if
-        match cur with
-        | Some (bt, ba) -> not (better_acc n.best_acc n.best.Task.id ba bt.Task.id)
-        | None -> false
-      then cur
-      else if not (p n.task.Task.comm) then best_eligible p fits n.l cur
-      else
-        let cur = if fits n.task.Task.mem then merge_best cur n.task n.acc else cur in
-        let cur = best_eligible p fits n.l cur in
-        best_eligible p fits n.r cur
-
-type t = {
-  mutable byc : tree; (* keyed (comm, id) *)
-  mutable bym : tree; (* keyed (mem, id) *)
-  mutable n : int;
-  ids : (int, unit) Hashtbl.t;
+     mem tree:  lo    argmin (comm asc, id asc)           — SCMR winner
+                hi    argmax comm, ties to the lower id   — LCMR winner
+                bm    argmax (acceleration desc, id asc)  — MAMR winner
+     comm tree: bc    argmax (acceleration desc, id asc)
+                mm    smallest memory requirement         — prunes fits *)
+type ws = {
+  comm : float array; (* per slot *)
+  mem : float array;
+  acc : float array;
+  id : int array;
+  mpos : int array; (* slot -> position in mem order *)
+  cpos : int array; (* slot -> position in comm order *)
+  msorted : float array; (* mem by mem-order position *)
+  csorted : float array; (* comm by comm-order position *)
+  by_id : int array; (* slots sorted by id *)
+  perm : int array; (* sort buffers *)
+  tmp : int array;
+  lo : int array; (* per tree node, twice the leaf count *)
+  hi : int array;
+  bm : int array;
+  bc : int array;
+  mm : float array;
 }
 
-let create () = { byc = Leaf; bym = Leaf; n = 0; ids = Hashtbl.create 64 }
-let size t = t.n
-let mem t id = Hashtbl.mem t.ids id
+(* Arrays for [cap] leaves, a power of two. *)
+let make_ws cap =
+  let f () = Array.make cap 0.0 and i () = Array.make cap 0 in
+  let node () = Array.make (2 * cap) (-1) in
+  {
+    comm = f ();
+    mem = f ();
+    acc = f ();
+    id = i ();
+    mpos = i ();
+    cpos = i ();
+    msorted = f ();
+    csorted = f ();
+    by_id = i ();
+    perm = i ();
+    tmp = i ();
+    lo = node ();
+    hi = node ();
+    bm = node ();
+    bc = node ();
+    mm = Array.make (2 * cap) Float.infinity;
+  }
+
+(* A domain's workspace. [gen] is bumped whenever an index is built on it
+   or released, so at most one index is valid per domain. *)
+type home = { mutable ws : ws; mutable gen : int }
+
+let key = Domain.DLS.new_key (fun () -> { ws = make_ws 1; gen = 0 })
+
+type t = {
+  home : home;
+  gen : int;
+  ws : ws;
+  tasks : Task.t array;
+  n : int;
+  size : int;
+  mutable count : int;
+}
+
+(* Winner picks over slots, -1 losing to anything. Tasks are finite and
+   non-NaN, so [<]/[>] agree with the Float.compare of the list scans. *)
+let pick_lo (comm : float array) (id : int array) a b =
+  if a < 0 then b
+  else if b < 0 then a
+  else
+    let ca = comm.(a) and cb = comm.(b) in
+    if ca < cb || (ca = cb && id.(a) <= id.(b)) then a else b
+
+let pick_hi (comm : float array) (id : int array) a b =
+  if a < 0 then b
+  else if b < 0 then a
+  else
+    let ca = comm.(a) and cb = comm.(b) in
+    if ca > cb || (ca = cb && id.(a) <= id.(b)) then a else b
+
+(* Same total preorder as Dynamic_rules.better on the MAMR key. *)
+let better (acc : float array) (id : int array) a b =
+  let xa = acc.(a) and xb = acc.(b) in
+  xa > xb || (xa = xb && id.(a) < id.(b))
+
+let pick_best (acc : float array) (id : int array) a b =
+  if a < 0 then b else if b < 0 then a else if better acc id b a then b else a
+
+let fix_mem ws i =
+  let l = 2 * i in
+  ws.lo.(i) <- pick_lo ws.comm ws.id ws.lo.(l) ws.lo.(l + 1);
+  ws.hi.(i) <- pick_hi ws.comm ws.id ws.hi.(l) ws.hi.(l + 1);
+  ws.bm.(i) <- pick_best ws.acc ws.id ws.bm.(l) ws.bm.(l + 1)
+
+let fix_comm ws i =
+  let l = 2 * i in
+  ws.bc.(i) <- pick_best ws.acc ws.id ws.bc.(l) ws.bc.(l + 1);
+  let a = ws.mm.(l) and b = ws.mm.(l + 1) in
+  ws.mm.(i) <- (if a <= b then a else b)
+
+(* Set or clear a slot's two leaves, then refresh both root paths. *)
+let set_leaves ws size s present =
+  let v = if present then s else -1 in
+  let m = size + ws.mpos.(s) and c = size + ws.cpos.(s) in
+  ws.lo.(m) <- v;
+  ws.hi.(m) <- v;
+  ws.bm.(m) <- v;
+  ws.bc.(c) <- v;
+  ws.mm.(c) <- (if present then ws.mem.(s) else Float.infinity);
+  let i = ref (m lsr 1) in
+  while !i >= 1 do
+    fix_mem ws !i;
+    i := !i lsr 1
+  done;
+  let i = ref (c lsr 1) in
+  while !i >= 1 do
+    fix_comm ws !i;
+    i := !i lsr 1
+  done
+
+(* Bottom-up merge sort of a.(0..n-1) under the strict order [lt], with
+   scratch [b]. *)
+let sort_slots lt (a : int array) b n =
+  let src = ref a and dst = ref b and w = ref 1 in
+  while !w < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Int.min (!lo + !w) n and hi = Int.min (!lo + (2 * !w)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || not (lt s.(!j) s.(!i))) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    w := 2 * !w
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
+let duplicate id = invalid_arg (Printf.sprintf "Candidates.add: duplicate task id %d" id)
+
+(* Sort the slots by (key, id) into ws.perm. *)
+let sort_by ws (key : float array) n =
+  let id = ws.id in
+  for s = 0 to n - 1 do
+    ws.perm.(s) <- s
+  done;
+  sort_slots
+    (fun a b -> key.(a) < key.(b) || (key.(a) = key.(b) && id.(a) < id.(b)))
+    ws.perm ws.tmp n
+
+(* Sort the slots by id into ws.by_id, for binary search. Raises on a
+   duplicate id. *)
+let index_ids ws n =
+  let id = ws.id and by_id = ws.by_id in
+  for s = 0 to n - 1 do
+    by_id.(s) <- s
+  done;
+  sort_slots (fun a b -> id.(a) < id.(b)) by_id ws.tmp n;
+  for k = 1 to n - 1 do
+    if id.(by_id.(k)) = id.(by_id.(k - 1)) then duplicate id.(by_id.(k))
+  done
+
+let build (home : home) present tasks =
+  let n = Array.length tasks in
+  let size = ref 1 in
+  while !size < n do
+    size := 2 * !size
+  done;
+  let size = !size in
+  if size > Array.length home.ws.comm then home.ws <- make_ws size;
+  let ws = home.ws in
+  home.gen <- home.gen + 1;
+  Array.iteri
+    (fun s (task : Task.t) ->
+      ws.comm.(s) <- task.Task.comm;
+      ws.mem.(s) <- task.Task.mem;
+      ws.acc.(s) <- Task.acceleration task;
+      ws.id.(s) <- task.Task.id)
+    tasks;
+  index_ids ws n;
+  Array.fill ws.lo 1 (2 * size - 1) (-1);
+  Array.fill ws.hi 1 (2 * size - 1) (-1);
+  Array.fill ws.bm 1 (2 * size - 1) (-1);
+  Array.fill ws.bc 1 (2 * size - 1) (-1);
+  Array.fill ws.mm 1 (2 * size - 1) Float.infinity;
+  sort_by ws ws.mem n;
+  for p = 0 to n - 1 do
+    let s = ws.perm.(p) in
+    ws.mpos.(s) <- p;
+    ws.msorted.(p) <- ws.mem.(s);
+    if present then begin
+      ws.lo.(size + p) <- s;
+      ws.hi.(size + p) <- s;
+      ws.bm.(size + p) <- s
+    end
+  done;
+  sort_by ws ws.comm n;
+  for p = 0 to n - 1 do
+    let s = ws.perm.(p) in
+    ws.cpos.(s) <- p;
+    ws.csorted.(p) <- ws.comm.(s);
+    if present then begin
+      ws.bc.(size + p) <- s;
+      ws.mm.(size + p) <- ws.mem.(s)
+    end
+  done;
+  if present then
+    for i = size - 1 downto 1 do
+      fix_mem ws i;
+      fix_comm ws i
+    done;
+  { home; gen = home.gen; ws; tasks; n; size; count = (if present then n else 0) }
+
+let with_index ?(present = true) tasks f =
+  let home = Domain.DLS.get key in
+  Fun.protect
+    ~finally:(fun () -> home.gen <- home.gen + 1)
+    (fun () -> f (build home present tasks))
+
+let check t =
+  if t.gen <> t.home.gen then
+    invalid_arg "Candidates: index used after its run returned or another was built"
+
+let size t =
+  check t;
+  t.count
+
+(* The slot holding this id, or -1. *)
+let slot_of_id t i =
+  let ws = t.ws in
+  let lo = ref 0 and hi = ref t.n in
+  while !lo < !hi do
+    let m = (!lo + !hi) lsr 1 in
+    if ws.id.(ws.by_id.(m)) < i then lo := m + 1 else hi := m
+  done;
+  if !lo < t.n && ws.id.(ws.by_id.(!lo)) = i then ws.by_id.(!lo) else -1
+
+let present t s = t.ws.bc.(t.size + t.ws.cpos.(s)) >= 0
+
+let mem t i =
+  check t;
+  let s = slot_of_id t i in
+  s >= 0 && present t s
 
 let add t (task : Task.t) =
-  if Hashtbl.mem t.ids task.Task.id then
-    invalid_arg (Printf.sprintf "Candidates.add: duplicate task id %d" task.Task.id);
-  Hashtbl.replace t.ids task.Task.id ();
-  let acc = Task.acceleration task in
-  t.byc <- add_t kcmp task acc t.byc;
-  t.bym <- add_t mcmp task acc t.bym;
-  t.n <- t.n + 1
+  check t;
+  let s = slot_of_id t task.Task.id in
+  if s < 0 then
+    invalid_arg (Printf.sprintf "Candidates.add: task id %d is not indexed" task.Task.id);
+  if present t s then duplicate task.Task.id;
+  set_leaves t.ws t.size s true;
+  t.count <- t.count + 1
 
 let remove t (task : Task.t) =
-  if not (Hashtbl.mem t.ids task.Task.id) then
+  check t;
+  let s = slot_of_id t task.Task.id in
+  if s < 0 || not (present t s) then
     invalid_arg (Printf.sprintf "Candidates.remove: unknown task id %d" task.Task.id);
-  Hashtbl.remove t.ids task.Task.id;
-  t.byc <- remove_t kcmp task t.byc;
-  t.bym <- remove_t mcmp task t.bym;
-  t.n <- t.n - 1
+  set_leaves t.ws t.size s false;
+  t.count <- t.count - 1
+
+(* The comm-tree searches below run only when the minimum-idle filter
+   binds. A node is worth entering only if it holds a present task
+   ([bc >= 0]) and its smallest memory requirement fits; together these
+   guarantee a fitting task inside, so a descent never backtracks more
+   than once per level. Node [i] covers comm positions [nl, nr). *)
+let live ws used kcap i = ws.bc.(i) >= 0 && used +. ws.mm.(i) <= kcap
+
+(* Rightmost fitting task at a position below [e]. *)
+let rec last_fit ws used kcap i nl nr e =
+  if nl >= e || not (live ws used kcap i) then -1
+  else if nr - nl = 1 then ws.bc.(i)
+  else
+    let mid = (nl + nr) lsr 1 in
+    let x = last_fit ws used kcap ((2 * i) + 1) mid nr e in
+    if x >= 0 then x else last_fit ws used kcap (2 * i) nl mid e
+
+(* Leftmost fitting task at a position from [b] on. *)
+let rec first_fit ws used kcap i nl nr b =
+  if nr <= b || not (live ws used kcap i) then -1
+  else if nr - nl = 1 then ws.bc.(i)
+  else
+    let mid = (nl + nr) lsr 1 in
+    let x = first_fit ws used kcap (2 * i) nl mid b in
+    if x >= 0 then x else first_fit ws used kcap ((2 * i) + 1) mid nr b
+
+(* Best (acceleration desc, id asc) fitting task at a position below [e],
+   skipping subtrees whose best cannot beat the incumbent [cur]. Visits
+   the child with the better best first. Exhaustive over the eligible
+   region in the worst case, which is only searched when the filter
+   binds. *)
+let rec best_fit ws used kcap i nl nr e cur =
+  if nl >= e || not (live ws used kcap i) then cur
+  else
+    let b = ws.bc.(i) in
+    if cur >= 0 && not (better ws.acc ws.id b cur) then cur
+    else if nr - nl = 1 then b
+    else
+      let mid = (nl + nr) lsr 1 and l = 2 * i in
+      if ws.bc.(l + 1) >= 0 && (ws.bc.(l) < 0 || better ws.acc ws.id ws.bc.(l + 1) ws.bc.(l))
+      then best_fit ws used kcap l nl mid e (best_fit ws used kcap (l + 1) mid nr e cur)
+      else best_fit ws used kcap (l + 1) mid nr e (best_fit ws used kcap l nl mid e cur)
+
+let[@inline] idle ~now ~cpu_free c = Float.max 0.0 (now +. c -. cpu_free)
 
 let select ?(min_idle_filter = true) t crit ~used ~kcap ~cpu_free ~now =
-  let fits m = used +. m <= kcap in
-  match fitting_agg fits t.bym None with
-  | None -> None
-  | Some a -> (
-      (* the exact expressions of Dynamic_rules.select, so that the
-         1e-12 idle tolerance resolves bit-identically *)
-      let m = a.lo in
-      let idle c = Float.max 0.0 (now +. c -. cpu_free) in
-      let p, binding =
-        if not min_idle_filter then ((fun _ -> true), false)
-        else
-          let bound = idle m.Task.comm +. 1e-12 in
-          let p c = idle c <= bound in
-          (* idle is monotone in comm, so if the largest fitting comm is
-             eligible then every fitting task is and the filter is a
-             no-op; otherwise the eligible set is a strict comm-prefix *)
-          (p, not (p a.hi.Task.comm))
-      in
+  check t;
+  let ws = t.ws and n = t.n in
+  (* the fits-now test [used +. mem <= kcap] is monotone in mem: the
+     fitting tasks are the mem-order prefix [0, k) *)
+  let k =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let m = (!lo + !hi) lsr 1 in
+      if used +. ws.msorted.(m) <= kcap then lo := m + 1 else hi := m
+    done;
+    !lo
+  in
+  let lo = ref (-1) and hi = ref (-1) and best = ref (-1) in
+  let l = ref t.size and r = ref (t.size + k) in
+  while !l < !r do
+    if !l land 1 = 1 then begin
+      lo := pick_lo ws.comm ws.id !lo ws.lo.(!l);
+      hi := pick_hi ws.comm ws.id !hi ws.hi.(!l);
+      best := pick_best ws.acc ws.id !best ws.bm.(!l);
+      incr l
+    end;
+    if !r land 1 = 1 then begin
+      decr r;
+      lo := pick_lo ws.comm ws.id !lo ws.lo.(!r);
+      hi := pick_hi ws.comm ws.id !hi ws.hi.(!r);
+      best := pick_best ws.acc ws.id !best ws.bm.(!r)
+    end;
+    l := !l lsr 1;
+    r := !r lsr 1
+  done;
+  if !lo < 0 then None
+  else
+    let s =
       match crit with
       | Scmr ->
           (* minimum comm, then minimum id: attains the minimum idle
              time, hence always eligible *)
-          Some m
-      | Lcmr ->
-          if not binding then Some a.hi
-          else (
-            match last_eligible p fits t.byc with
-            | None -> assert false (* m itself is eligible and fitting *)
-            | Some w -> first_in_group w.Task.comm fits t.byc)
-      | Mamr ->
-          if not binding then Some a.best
-          else Option.map fst (best_eligible p fits t.byc None))
+          !lo
+      | Lcmr | Mamr ->
+          (* the exact expressions of Dynamic_rules.select, so that the
+             1e-12 idle tolerance resolves bit-identically; idle time is
+             monotone in comm, so if the largest fitting comm is eligible
+             every fitting task is, and otherwise the eligible tasks are
+             the comm-order prefix [0, e) *)
+          let bound = idle ~now ~cpu_free ws.comm.(!lo) +. 1e-12 in
+          if (not min_idle_filter) || idle ~now ~cpu_free ws.comm.(!hi) <= bound then
+            if crit = Lcmr then !hi else !best
+          else begin
+            let e =
+              let a = ref 0 and b = ref n in
+              while !a < !b do
+                let m = (!a + !b) lsr 1 in
+                if idle ~now ~cpu_free ws.csorted.(m) <= bound then a := m + 1 else b := m
+              done;
+              !a
+            in
+            if crit = Mamr then best_fit ws used kcap 1 0 t.size e (-1)
+            else begin
+              (* the largest eligible fitting comm, then the lowest id
+                 among the fitting tasks of that comm *)
+              let w = last_fit ws used kcap 1 0 t.size e in
+              let c = ws.comm.(w) in
+              let g =
+                let a = ref 0 and b = ref n in
+                while !a < !b do
+                  let m = (!a + !b) lsr 1 in
+                  if ws.csorted.(m) < c then a := m + 1 else b := m
+                done;
+                !a
+              in
+              first_fit ws used kcap 1 0 t.size g
+            end
+          end
+    in
+    Some t.tasks.(s)

@@ -1,40 +1,56 @@
-(** Incremental candidate index for the dynamic decision loops.
+(** Flat candidate index for the dynamic decision loops.
 
     The heuristics of Sections 4.2–4.3 repeatedly answer the same query:
     among the unscheduled tasks that fit in the free memory right now,
     which one does the active criterion pick once the minimum-idle filter
     has been applied? The original implementations re-filtered and
     re-scanned the whole remaining list at every decision — O(n) per
-    step, O(n²) per run. This index answers the query in O(log n)
-    without ever reorganising itself as the memory level fluctuates:
+    step, O(n²) per run. This index answers the query in O(log n) and
+    allocates nothing per add, remove or search:
 
-    - the tasks are held in two balanced trees, keyed by [(comm, id)]
-      and by [(mem, id)], whose nodes carry subtree aggregates: the
-      argmin of [(comm, id)] (the SCMR winner), the argmax of comm with
-      ties to the lower id (the LCMR winner), the argmax of
-      (acceleration desc, id asc) (the MAMR winner), and the minimum
-      memory requirement;
+    - an index is built over a {e fixed} task array: the instance for
+      the offline loops, the pending set for one engine drain. A task is
+      then only marked present or absent; its slot never moves;
+    - two array segment trees sit over the slots, one in [(mem, id)]
+      order holding the SCMR, LCMR and MAMR winners of each subtree as
+      int slots, one in [(comm, id)] order holding the MAMR winner and
+      the smallest memory requirement. Adding or removing a task
+      rewrites one leaf-to-root path of each in place;
     - the fits-now test [used +. mem <= kcap] is monotone in [mem], so
-      the fitting set is a {e prefix} of the [(mem, id)] tree: one
-      descent accumulates the aggregates of exactly the fitting tasks.
-      Because the boundary is implicit, a memory level that swings with
-      every schedule/release event costs nothing — an earlier design
-      that physically partitioned tasks into fits/blocked sets moved
-      Θ(n) tasks per event on memory-saturated instances;
+      the fitting set is a prefix of the mem order: a binary search
+      finds its end and a bottom-up fold of that prefix yields all three
+      winners. Because the boundary is implicit, a memory level that
+      swings with every schedule/release event costs nothing — an
+      earlier design that physically partitioned tasks into fits/blocked
+      sets moved Θ(n) tasks per event on memory-saturated instances;
     - the minimum-idle filter keeps the tasks whose idle time
       [max 0 (now + comm - cpu_free)] is within [1e-12] of the minimum.
-      Idle time is monotone in [comm], so the eligible set is a
-      comm-prefix; it only {e binds} (excludes some fitting task) when
-      the CPU frees up before the longest fitting transfer completes.
-      When it does not bind — the common case under CPU backlog — the
-      prefix aggregates already answer every criterion; when it does,
-      LCMR resolves with O(log² n) boundary descents of the
-      [(comm, id)] tree and MAMR with a pruned search of the (then
-      small) eligible region.
+      Idle time is monotone in [comm], so the eligible set is a prefix
+      of the comm order; it only {e binds} (excludes some fitting task)
+      when the CPU frees up before the longest fitting transfer
+      completes. When it does not bind — the common case under CPU
+      backlog — the prefix fold already answers every criterion. When it
+      does, LCMR takes the rightmost eligible fitting task (a descent
+      pruned by the smallest memory requirement) and then the leftmost
+      fitting task of that comm group; MAMR runs a pruned search of the
+      eligible region.
 
     Every comparison uses the exact float expressions of
     {!Dynamic_rules.select} and {!Sim.fits_now}, so selections are
-    bit-identical to the original list scans (property-tested). *)
+    bit-identical to the original list scans (property-tested).
+
+    {b Lifetime.} The arrays live in a per-domain workspace that every
+    index built on that domain reuses, grown to the largest task count
+    seen. Arrays that large go straight to the major heap, and fresh
+    ones per run raised the fleet benchmark's peak RSS by about 18%
+    (DESIGN.md, "Complexity of the decision loops"). The workspace never
+    shrinks: after an index over n tasks, the domain keeps about 21
+    words per slot, rounded up to a power of two, for as long as it
+    lives. The engine caps n with its queue limit; offline callers with
+    large instances keep that much per domain that ran them. An index
+    is only valid inside the {!with_index} call that built it, and only
+    until the next index is built on the same domain; any later use
+    raises [Invalid_argument] instead of reading another run's data. *)
 
 type t
 
@@ -42,24 +58,30 @@ type t
     cannot be used here without a dependency cycle). *)
 type crit = Lcmr | Scmr | Mamr
 
-val create : unit -> t
-(** An empty index. *)
+val with_index : ?present:bool -> Task.t array -> (t -> 'a) -> 'a
+(** [with_index tasks f] builds an index over [tasks] in O(n log n),
+    every task present ([present], the default) or absent, and returns
+    [f index]. The index must not escape [f], and [f] must not build
+    another index while it still uses this one. Raises
+    [Invalid_argument "Candidates.add: duplicate task id <id>"] when two
+    tasks share an id. *)
 
 val size : t -> int
-(** Number of tasks in the index. *)
+(** Number of present tasks. *)
 
 val mem : t -> int -> bool
-(** Is a task with this id in the index? *)
+(** Is the task with this id present? O(log n). *)
 
 val add : t -> Task.t -> unit
-(** Insert a task in O(log n). Raises
-    [Invalid_argument "Candidates.add: duplicate task id <id>"] when a
-    task with the same id is already present. *)
+(** Mark an indexed task present, in O(log n). Raises
+    [Invalid_argument "Candidates.add: duplicate task id <id>"] when it
+    is present already, and [Invalid_argument] when no task of the index
+    has its id. *)
 
 val remove : t -> Task.t -> unit
-(** Remove a task in O(log n). Raises
+(** Mark a task absent, in O(log n). Raises
     [Invalid_argument "Candidates.remove: unknown task id <id>"] when no
-    task with its id is present. *)
+    present task has its id. *)
 
 val select :
   ?min_idle_filter:bool ->
@@ -70,9 +92,10 @@ val select :
   cpu_free:float ->
   now:float ->
   Task.t option
-(** The task {!Dynamic_rules.select} would return on the tasks that fit
-    under [used +. mem <= kcap] (with [kcap] the tolerance-adjusted
-    capacity [capacity *. (1. +. 1e-12)], precomputed by the caller so
-    the test is the exact expression of {!Sim.fits_now}). O(log n) when
-    the minimum-idle filter does not bind (always, for SCMR and with the
-    filter off). [None] iff no task fits. *)
+(** The task {!Dynamic_rules.select} would return on the present tasks
+    that fit under [used +. mem <= kcap] (with [kcap] the
+    tolerance-adjusted capacity [capacity *. (1. +. 1e-12)], precomputed
+    by the caller so the test is the exact expression of
+    {!Sim.fits_now}). O(log n) when the minimum-idle filter does not bind
+    (always, for SCMR and with the filter off). [None] iff no task
+    fits. *)

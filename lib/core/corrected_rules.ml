@@ -15,11 +15,12 @@ let criterion = function
   | OOSCMR -> Dynamic_rules.SCMR
   | OOMAMR -> Dynamic_rules.MAMR
 
-(* The static order is held in an array with a skip-removed head cursor
-   (O(n) total head advances), and the pending set doubles as a
-   Candidates index so the correction step selects in O(log n) instead of
-   re-filtering the list: O(n log n) per run where the list version was
-   O(n²). Bit-identical to the frozen reference (property-tested). *)
+(* The static order is held in an array with a head cursor that skips
+   scheduled tasks (O(n) total head advances), and the same array backs a
+   Candidates index whose membership marks what is scheduled, so the
+   correction step selects in O(log n) instead of re-filtering the list:
+   O(n log n) per run where the list version was O(n²). Bit-identical to
+   the frozen reference (property-tested). *)
 let run ?state ?order rule instance =
   let capacity = instance.Instance.capacity in
   let st = match state with Some s -> s | None -> Sim.initial_state () in
@@ -36,36 +37,28 @@ let run ?state ?order rule instance =
   let kcap = capacity *. (1.0 +. 1e-12) in
   let crit = Dynamic_rules.crit_of (criterion rule) in
   let arr = Array.of_list initial in
-  let n = Array.length arr in
-  let pos_of_id = Hashtbl.create (2 * n) in
-  Array.iteri (fun i (t : Task.t) -> Hashtbl.replace pos_of_id t.Task.id i) arr;
-  let removed = Array.make n false in
-  let idx = Candidates.create () in
-  Array.iter (Candidates.add idx) arr;
-  let head = ref 0 in
-  let remaining = ref n in
-  let entries = ref [] in
-  let take (t : Task.t) =
-    entries := Sim.schedule_task st ~capacity t :: !entries;
-    Candidates.remove idx t;
-    removed.(Hashtbl.find pos_of_id t.Task.id) <- true;
-    decr remaining
-  in
-  while !remaining > 0 do
-    while removed.(!head) do
-      incr head
-    done;
-    let next = arr.(!head) in
-    Sim.settle st;
-    if Sim.memory_in_use st +. next.Task.mem <= kcap then take next
-    else
-      match
-        Candidates.select idx crit ~used:(Sim.memory_in_use st) ~kcap
-          ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
-      with
-      | Some t -> take t
-      | None ->
-          let advanced = Sim.advance_to_next_release st in
-          assert advanced
-  done;
-  Schedule.make ~capacity (List.rev !entries)
+  Candidates.with_index arr (fun idx ->
+      let head = ref 0 in
+      let entries = ref [] in
+      let take (t : Task.t) =
+        entries := Sim.schedule_task st ~capacity t :: !entries;
+        Candidates.remove idx t
+      in
+      while Candidates.size idx > 0 do
+        while not (Candidates.mem idx arr.(!head).Task.id) do
+          incr head
+        done;
+        let next = arr.(!head) in
+        Sim.settle st;
+        if Sim.memory_in_use st +. next.Task.mem <= kcap then take next
+        else
+          match
+            Candidates.select idx crit ~used:(Sim.memory_in_use st) ~kcap
+              ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
+          with
+          | Some t -> take t
+          | None ->
+              let advanced = Sim.advance_to_next_release st in
+              assert advanced
+      done;
+      Schedule.make ~capacity (List.rev !entries))

@@ -46,17 +46,18 @@ let crit_of = function
   | SCMR -> Candidates.Scmr
   | MAMR -> Candidates.Mamr
 
-(* The decision loop keeps every unscheduled task in a Candidates index
-   (aggregate-augmented trees keyed by (comm, id) and (mem, id)) so each
-   step costs O(log n) instead of re-filtering and re-scanning the
-   remaining list: O(n log n) per run where the list version was O(n²).
-   Selections are bit-identical to [select] on the filtered list
-   (property-tested against the frozen reference in the test suite). *)
+(* The decision loop keeps the instance in a Candidates index built once
+   per run (flat segment trees over the task slots), so each step costs
+   O(log n), with no allocation in the index, instead of re-filtering and
+   re-scanning the remaining list: O(n log n) per run where the list
+   version was O(n²). Selections are bit-identical to [select] on the
+   filtered list (property-tested against the frozen reference in the
+   test suite). *)
 let run ?state ?min_idle_filter criterion instance =
   let capacity = instance.Instance.capacity in
   let st = match state with Some s -> s | None -> Sim.initial_state () in
-  let tasks = Instance.task_list instance in
-  List.iter
+  let tasks = instance.Instance.tasks in
+  Array.iter
     (fun t ->
       if t.Task.mem > capacity *. (1.0 +. 1e-12) then
         invalid_arg
@@ -65,24 +66,21 @@ let run ?state ?min_idle_filter criterion instance =
     tasks;
   let kcap = capacity *. (1.0 +. 1e-12) in
   let crit = crit_of criterion in
-  let idx = Candidates.create () in
-  List.iter (Candidates.add idx) tasks;
-  let remaining = ref (List.length tasks) in
-  let entries = ref [] in
-  while !remaining > 0 do
-    Sim.settle st;
-    match
-      Candidates.select ?min_idle_filter idx crit ~used:(Sim.memory_in_use st) ~kcap
-        ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
-    with
-    | Some t ->
-        entries := Sim.schedule_task st ~capacity t :: !entries;
-        Candidates.remove idx t;
-        decr remaining
-    | None ->
-        (* Nothing fits: wait for the next memory release. All tasks fit
-           the capacity alone, so a release must exist. *)
-        let advanced = Sim.advance_to_next_release st in
-        assert advanced
-  done;
-  Schedule.make ~capacity (List.rev !entries)
+  Candidates.with_index tasks (fun idx ->
+      let entries = ref [] in
+      while Candidates.size idx > 0 do
+        Sim.settle st;
+        match
+          Candidates.select ?min_idle_filter idx crit ~used:(Sim.memory_in_use st) ~kcap
+            ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
+        with
+        | Some t ->
+            entries := Sim.schedule_task st ~capacity t :: !entries;
+            Candidates.remove idx t
+        | None ->
+            (* Nothing fits: wait for the next memory release. All tasks
+               fit the capacity alone, so a release must exist. *)
+            let advanced = Sim.advance_to_next_release st in
+            assert advanced
+      done;
+      Schedule.make ~capacity (List.rev !entries))

@@ -53,7 +53,6 @@ type t = {
   queue_limit : int;
   st : Sim.state;
   future : arrival_item Iheap.t; (* not yet arrived, keyed by (arrival, id) *)
-  cand : Candidates.t; (* arrived, unscheduled: indexed selection *)
   j1 : Task.t Iheap.t; (* arrived compute-intensive tasks, (comm, id) *)
   j2 : Task.t Iheap.t; (* arrived comm-intensive tasks, (comp desc, id) *)
   mutable n_pending : int;
@@ -80,7 +79,6 @@ let create ?(policy = Corrected Corrected_rules.OOSCMR) ?(queue_limit = 65536)
     queue_limit;
     st = Sim.initial_state ();
     future = Iheap.create ~cmp:arrival_cmp ~id:(fun it -> it.task.Task.id) ();
-    cand = Candidates.create ();
     j1 = Iheap.create ~cmp:johnson1_cmp ~id:task_id ();
     j2 = Iheap.create ~cmp:johnson2_cmp ~id:task_id ();
     n_pending = 0;
@@ -112,8 +110,9 @@ let submit t ?(arrival = 0.0) (task : Task.t) =
   end
   else begin
     (* the indexed structures cannot hold two live tasks with one id (the
-       old list code silently dropped both on removal); reject up front *)
-    if Iheap.mem t.future task.Task.id || Candidates.mem t.cand task.Task.id then
+       old list code silently dropped both on removal); reject up front.
+       Between drains every pending task is in the arrival heap. *)
+    if Iheap.mem t.future task.Task.id then
       invalid_arg
         (Printf.sprintf "Engine.submit: duplicate pending task id %d" task.Task.id);
     Iheap.add t.future { arr = arrival; task };
@@ -122,15 +121,16 @@ let submit t ?(arrival = 0.0) (task : Task.t) =
   end
 
 (* Move every task whose arrival has been reached into the arrived
-   structures: the candidate index and, under a Corrected policy, the
-   Johnson head heaps. O(log n) per arrival instead of a list append. *)
-let promote t =
+   structures: the drain's candidate index and, under a Corrected policy,
+   the Johnson head heaps. O(log n) per arrival instead of a list
+   append. *)
+let promote t cand =
   let time = Sim.link_free_time t.st in
   let rec loop () =
     match Iheap.peek t.future with
     | Some it when it.arr <= time ->
         ignore (Iheap.pop t.future);
-        Candidates.add t.cand it.task;
+        Candidates.add cand it.task;
         if t.use_johnson then
           if Task.is_compute_intensive it.task then Iheap.add t.j1 it.task
           else Iheap.add t.j2 it.task;
@@ -139,9 +139,9 @@ let promote t =
   in
   loop ()
 
-let take_task t (task : Task.t) =
+let take_task t cand (task : Task.t) =
   let entry = Sim.schedule_task t.st ~capacity:t.capacity task in
-  Candidates.remove t.cand task;
+  Candidates.remove cand task;
   if t.use_johnson then
     if Task.is_compute_intensive task then Iheap.remove t.j1 task.Task.id
     else Iheap.remove t.j2 task.Task.id;
@@ -152,19 +152,19 @@ let take_task t (task : Task.t) =
 
 (* One decision point: schedule a task, or advance virtual time to the
    next event, or report starvation (nothing submitted is left). *)
-let rec step t =
+let rec step t cand =
   Sim.settle t.st;
-  promote t;
-  if Candidates.size t.cand = 0 then
+  promote t cand;
+  if Candidates.size cand = 0 then
     match Iheap.peek t.future with
     | None -> false
     | Some it ->
         Sim.advance_link_to t.st it.arr;
-        step t
+        step t cand
   else begin
     let fits (task : Task.t) = Sim.memory_in_use t.st +. task.Task.mem <= t.kcap in
     let select criterion =
-      Candidates.select t.cand (Dynamic_rules.crit_of criterion)
+      Candidates.select cand (Dynamic_rules.crit_of criterion)
         ~used:(Sim.memory_in_use t.st) ~kcap:t.kcap
         ~cpu_free:(Sim.cpu_free_time t.st) ~now:(Sim.link_free_time t.st)
     in
@@ -181,7 +181,7 @@ let rec step t =
     in
     match choice with
     | Some task ->
-        take_task t task;
+        take_task t cand task;
         true
     | None -> (
         (* nothing arrived fits: advance to the earlier of the next
@@ -194,22 +194,27 @@ let rec step t =
             assert false
         | Some r, Some a when a < r ->
             Sim.advance_link_to t.st a;
-            step t
+            step t cand
         | Some _, _ ->
             let advanced = Sim.advance_to_next_release t.st in
             assert advanced;
-            step t
+            step t cand
         | None, Some a ->
             Sim.advance_link_to t.st a;
-            step t)
+            step t cand)
   end
 
 let schedule t = Schedule.make ~capacity:t.capacity (List.rev t.entries)
 
+(* The candidate index lives for one drain: it is built over every
+   pending task, all absent, and [promote] marks each one present when it
+   arrives. A drain schedules everything, so nothing is left in it. *)
 let drain t =
-  while step t do
-    ()
-  done;
+  let pending = Array.of_list (List.map (fun it -> it.task) (Iheap.to_list t.future)) in
+  Candidates.with_index ~present:false pending (fun cand ->
+      while step t cand do
+        ()
+      done);
   schedule t
 
 let take_new_entries t =

@@ -11,6 +11,7 @@ let () =
       ("johnson", Test_johnson.suite);
       ("heuristics", Test_heuristics.suite);
       ("equiv", Test_equiv.suite);
+      ("candidates", Test_candidates.suite);
       ("exact", Test_exact.suite);
       ("reduction", Test_reduction.suite);
       ("lp", Test_lp.suite);

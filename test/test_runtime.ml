@@ -115,6 +115,34 @@ let engine_is_resumable () =
   Alcotest.(check (float 0.0)) "second batch waited for its arrival" 12.0
     (Schedule.makespan second)
 
+(* Between drains every pending task sits in the arrival heap, the only
+   place Engine.submit looks for duplicates: the drain's candidate index
+   is built at drain start and gone when the drain returns. *)
+let duplicate_ids_across_drains () =
+  let engine = Engine.create ~capacity:4.0 () in
+  let mk id comm = Task.make ~id ~comm ~comp:1.0 ~mem:1.0 () in
+  let dup id = Invalid_argument (Printf.sprintf "Engine.submit: duplicate pending task id %d" id) in
+  assert (Engine.submit engine (mk 1 1.0) = Engine.Accepted);
+  assert (Engine.submit engine ~arrival:7.0 (mk 2 1.0) = Engine.Accepted);
+  Alcotest.check_raises "pending duplicate (arrived at 0)" (dup 1) (fun () ->
+      ignore (Engine.submit engine (mk 1 2.0)));
+  Alcotest.check_raises "pending duplicate (future arrival)" (dup 2) (fun () ->
+      ignore (Engine.submit engine ~arrival:1.0 (mk 2 2.0)));
+  Alcotest.(check int) "duplicates left the queue untouched" 2 (Engine.pending engine);
+  ignore (Engine.drain engine);
+  Alcotest.(check int) "first drain" 2 (Engine.scheduled engine);
+  Alcotest.(check bool) "id 1 accepted again after DRAIN" true
+    (Engine.submit engine (mk 1 2.0) = Engine.Accepted);
+  Alcotest.(check bool) "id 2 accepted again after DRAIN" true
+    (Engine.submit engine ~arrival:20.0 (mk 2 0.5) = Engine.Accepted);
+  Alcotest.check_raises "the resubmitted id is pending again" (dup 2) (fun () ->
+      ignore (Engine.submit engine (mk 2 1.0)));
+  let sched = Engine.drain engine in
+  Alcotest.(check (list int)) "both drains in the schedule" [ 1; 2; 1; 2 ]
+    (List.map (fun (e : Schedule.entry) -> e.Schedule.task.Task.id) (Schedule.entries sched));
+  Alcotest.(check (float 0.0)) "second id 2 waited for its arrival" 21.5
+    (Schedule.makespan sched)
+
 let admission_control () =
   let engine = Engine.create ~queue_limit:2 ~capacity:5.0 () in
   let mk id mem = Task.make ~id ~comm:1.0 ~comp:1.0 ~mem () in
@@ -1416,4 +1444,6 @@ let suite =
       `Quick large_frame_byte_by_byte;
     Alcotest.test_case "short writev calls resume mid-iovec" `Quick
       short_writes_resume;
+    Alcotest.test_case "duplicate ids: pending raises, reuse after DRAIN" `Quick
+      duplicate_ids_across_drains;
   ]
