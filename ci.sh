@@ -11,6 +11,20 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== pool suite, 20 passes =="
+# The pool's lock-and-condition protocol gets more than the single pass
+# above: a lost wake-up shows up as a hang or a failed pass here.
+pass=0
+while [ "$pass" -lt 20 ]; do
+  pass=$((pass + 1))
+  if ! out=$(./_build/default/test/test_core.exe test par 2>&1); then
+    echo "FAIL: pool suite failed on pass $pass:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+echo "pool suite OK: 20 passes"
+
 DTSCHED=./_build/default/bin/dtsched.exe
 
 echo "== serve/client loopback smoke =="
@@ -139,9 +153,10 @@ echo "== scaling experiment (fast workload) =="
 EXPERIMENTS=scaling DTSCHED_FAST=1 dune exec bench/main.exe
 
 echo "== multi-domain fleet speedup gate =="
-# The sharded executor must actually win when there is hardware to win
-# on: with >= 2 cores, the best multi-domain fleet run must beat the
-# sequential baseline. Single-core runners cannot show a speedup by
+# The pool must actually win when there is hardware to win on: with >= 2
+# cores, the best multi-domain fleet run must beat the warm sequential
+# baseline (both timed as the median of 5 runs after an untimed
+# sequential pass). Single-core runners cannot show a speedup by
 # construction (domains time-slice one core and couple their GCs), so
 # there the gate is skipped with a notice instead of silently passing.
 cores=$(grep -o '"recommended_domain_count": *[0-9]*' BENCH_fleet.json | grep -o '[0-9]*$' || echo 1)

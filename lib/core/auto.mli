@@ -13,7 +13,6 @@ val default_portfolio : Heuristic.t list
 
 val best_on :
   ?state:Sim.state ->
-  ?pool:Dt_par.Pool.t ->
   candidates:Heuristic.t list ->
   Instance.t ->
   Heuristic.t * Schedule.t
@@ -23,17 +22,16 @@ val best_on :
 
 val select :
   ?candidates:Heuristic.t list ->
-  ?pool:Dt_par.Pool.t ->
   Instance.t ->
   Heuristic.t * Schedule.t
 (** Run every candidate and return the one with the smallest makespan
-    (ties: first in the list). With [?pool] the candidates are evaluated
-    concurrently on the pool's domains; the winner — including the
-    tie-break by candidate order — is identical to the sequential run.
-    Raises [Invalid_argument] on an empty candidate list or an infeasible
+    (ties: first in the list). Candidates run one after another on the
+    calling domain; parallelism lives one level up, where [Dt_trace.Fleet]
+    and the cluster layer map over independent processes. Raises
+    [Invalid_argument] on an empty candidate list or an infeasible
     instance. *)
 
-val run : ?candidates:Heuristic.t list -> ?pool:Dt_par.Pool.t -> Instance.t -> Schedule.t
+val run : ?candidates:Heuristic.t list -> Instance.t -> Schedule.t
 
 val run_batched :
   ?candidates:Heuristic.t list ->

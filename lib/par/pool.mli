@@ -1,21 +1,18 @@
-(** A persistent sharded executor on OCaml 5 domains.
+(** A persistent fan-out pool on OCaml 5 domains.
 
-    The pool owns one worker domain per shard. Each shard has a small
-    private lock guarding two queues: a FIFO of {e pinned} tasks
-    (submitted to that shard explicitly with {!submit}, executed in
-    order by the shard's single worker, never stolen — the basis for the
-    runtime server's connection-to-shard affinity) and a queue of
-    {e stealable} chunk tasks produced by {!parallel_map}.
+    The pool owns one worker domain per shard. Each shard has one FIFO
+    under a small private lock. {!submit} puts a {e pinned} task on one
+    shard's FIFO: that shard's single worker runs it, in submission
+    order, and no other domain ever does — the basis for the runtime
+    server's connection-to-shard affinity.
 
-    {!parallel_map} splits the input into chunks sized by a measured
-    per-element cost estimate, scatters one claimable task per chunk
-    across the shards, and then helps: the calling domain claims and
-    executes chunks alongside the workers, so a job always completes
-    even if every worker is busy — concurrent and nested calls cannot
-    deadlock. Idle workers steal chunk tasks from other shards before
-    sleeping. Results are collected into per-index slots, so the output
-    is bit-identical to [Array.map f a] regardless of which domain
-    computed which element. *)
+    {!parallel_map} allocates one job with an atomic claim counter,
+    pushes one helper onto the FIFOs of up to [num_domains] shards, and
+    then helps: the calling domain claims and executes elements one at a
+    time alongside the workers, so a job always completes even if every
+    worker is busy — concurrent and nested calls cannot deadlock. Results
+    are collected into per-index slots, so the output is bit-identical to
+    [Array.map f a] regardless of which domain computed which element. *)
 
 type t
 (** A pool of worker domains. Create once, reuse across many calls. *)
@@ -25,14 +22,14 @@ type stats = {
       (** total work accepted: [parallel_map] calls plus pinned
           {!submit} tasks *)
   fallbacks : int;
-      (** [parallel_map] calls that ran inline on the caller instead of
-          fanning out — nested calls from inside pool work, and jobs
-          predicted cheaper than a worker wakeup. A high ratio of
-          [fallbacks] to [jobs] means the pool is configured or used in
-          a way where parallelism never engages. *)
+      (** [parallel_map] calls made from inside pool work (nested
+          parallelism) that ran inline on the caller instead of fanning
+          out. A high ratio of [fallbacks] to [jobs] means the pool is
+          used in a way where parallelism never engages. *)
   steals : int;
-      (** chunk tasks executed by a worker that took them from another
-          shard's queue *)
+      (** [parallel_map] elements executed by a pool worker rather than
+          by the calling domain. Zero means the caller computed every
+          element itself. *)
 }
 
 val create : ?num_domains:int -> unit -> t
@@ -51,42 +48,27 @@ val num_domains : t -> int
 val stats : t -> stats
 (** Monotone counters since {!create}. Cheap; safe from any domain. *)
 
-val parallel_map : ?min_chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f a] is [Array.map f a], computed cooperatively
-    by the calling domain and the pool's workers. Bit-identical to the
-    sequential map; if any [f] application raises, the first such
-    exception is re-raised in the caller (with its backtrace) after the
-    job quiesces, and the pool remains usable.
+    by the calling domain and the pool's workers, one element per claim.
+    Bit-identical to the sequential map; if any [f] application raises,
+    the first such exception is re-raised in the caller (with its
+    backtrace) after the job quiesces, and the pool remains usable.
 
-    [min_chunk] (default 1) floors the chunk size: no task smaller than
-    [min_chunk] elements is created, which caps scheduling overhead for
-    maps over many very cheap elements. The effective chunk size also
-    accounts for a running estimate of per-element cost — see
-    {!chunk_size}.
+    Inputs of at most one element run inline. Calls from inside pool work
+    (nested parallelism) run inline too and are counted in
+    {!stats}[.fallbacks].
 
-    Calls from inside pool work (nested parallelism) and jobs predicted
-    cheaper than a worker wakeup run inline on the caller; both are
-    counted in {!stats}[.fallbacks].
-
-    @raise Invalid_argument if the pool is shut down or [min_chunk < 1]. *)
-
-val chunk_size : t -> ?min_chunk:int -> int -> int
-(** [chunk_size pool ?min_chunk n] is the chunk size {!parallel_map}
-    would use right now for an [n]-element input: the measured-cost
-    target (about 200us of work per chunk) when a cost estimate exists,
-    otherwise [n / (4 * num_domains)] rounded up — in both cases capped
-    so at least two chunks per domain exist when [n] allows, and floored
-    by [min_chunk]. Exposed for tests and introspection; the estimate
-    evolves as jobs run. *)
+    @raise Invalid_argument if the pool is shut down. *)
 
 val submit : t -> shard:int -> (unit -> unit) -> unit
 (** [submit pool ~shard task] enqueues [task] on shard
     [shard mod num_domains pool]. Pinned tasks on the same shard are
     executed sequentially, in submission order, by that shard's single
     worker domain — two tasks pinned to the same shard never run
-    concurrently, which lets per-shard state go lock-free. Pinned tasks
-    are never stolen. [task] must not raise; exceptions escaping it are
-    discarded.
+    concurrently, which lets per-shard state go lock-free. A pinned task
+    never runs on another shard. [task] must not raise; exceptions
+    escaping it are discarded.
 
     @raise Invalid_argument if the pool is shut down or [shard < 0]. *)
 

@@ -51,7 +51,7 @@ val run :
   ?capacity_factor:float -> ?pool:Dt_par.Pool.t -> policy -> Trace.t array -> outcome
 (** Each process gets capacity [capacity_factor * its own m_c]
     (default 1.5). With [?pool] the per-process schedulers run
-    concurrently, one pool task per trace; the outcome (makespans, ratios,
+    concurrently, one trace per pool claim; the outcome (makespans, ratios,
     chosen heuristics, aggregation) is bit-identical to the sequential
     run. Raises [Invalid_argument] on an empty trace set. *)
 

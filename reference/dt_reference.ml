@@ -1,8 +1,12 @@
-(* Frozen pre-rewrite implementations of the decision loops, used by the
-   core-scaling experiment to record the "before" numbers the rewritten
-   O(n log n) paths are compared against. Keep verbatim: its value is
-   that it does not change. (The test suite pins bit-identical behaviour
-   against the same frozen code in test/reference.ml.) *)
+(* Frozen pre-rewrite implementations of the decision loops (dynamic
+   rules, corrected rules, online engine), kept verbatim. Two users:
+   - test/test_equiv.ml pins the rewritten O(n log n) paths to
+     bit-identical schedules against these copies with QCheck properties;
+   - bench/core_scaling.ml times them as the "before" numbers the
+     rewritten paths are compared against.
+   Do not "fix" or modernise this file — its value is that it does not
+   change. *)
+
 open Dt_core
 
 (* Old Dynamic_rules: full re-filter and re-scan of the remaining list at

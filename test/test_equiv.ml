@@ -1,7 +1,7 @@
 (* Equivalence pinning for the O(n log n) decision-loop rewrite: the
    incremental implementations (Candidates index, arrival heap,
    incremental Johnson order) must produce bit-identical schedules to the
-   frozen pre-rewrite copies in Reference, on every policy, with and
+   frozen pre-rewrite copies in Dt_reference, on every policy, with and
    without the min-idle filter, and under random arrival times. *)
 
 open Dt_core
@@ -31,14 +31,14 @@ let dynamic_prop criterion filter =
     (fun i ->
       same_schedule
         (Dynamic_rules.run ~min_idle_filter:filter criterion i)
-        (Reference.Dyn.run ~min_idle_filter:filter criterion i))
+        (Dt_reference.Dyn.run ~min_idle_filter:filter criterion i))
 
 let corrected_prop rule =
   Generators.prop_test ~count:300
     ~name:
       (Printf.sprintf "Corrected %s = reference, bit for bit" (Corrected_rules.name rule))
     instance_gen
-    (fun i -> same_schedule (Corrected_rules.run rule i) (Reference.Cor.run rule i))
+    (fun i -> same_schedule (Corrected_rules.run rule i) (Dt_reference.Cor.run rule i))
 
 (* Online: an instance plus one arrival time per task. *)
 let online_gen =
@@ -66,16 +66,16 @@ let engine_prop policy =
     (fun (i, arrivals) ->
       let capacity = i.Instance.capacity in
       let eng = Engine.create ~policy ~capacity () in
-      let reference = Reference.Eng.create ~policy ~capacity () in
+      let reference = Dt_reference.Eng.create ~policy ~capacity () in
       List.iter2
         (fun task arrival ->
           (match Engine.submit eng ~arrival task with
           | Engine.Accepted -> ()
           | a -> QCheck2.Test.fail_reportf "submission not accepted: %s"
                    (Engine.admission_to_string a));
-          Reference.Eng.submit reference ~arrival task)
+          Dt_reference.Eng.submit reference ~arrival task)
         (Instance.task_list i) arrivals;
-      same_schedule (Engine.drain eng) (Reference.Eng.drain reference))
+      same_schedule (Engine.drain eng) (Dt_reference.Eng.drain reference))
 
 (* Satellite: an out-of-order (here: fully reversed) submission stream
    must land on the same schedule as the in-order one — the arrival heap

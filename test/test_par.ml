@@ -1,5 +1,5 @@
 (* dt_par: the domain pool agrees with sequential evaluation exactly, and
-   the parallel fleet/portfolio paths are bit-identical to sequential. *)
+   the parallel fleet path is bit-identical to sequential. *)
 
 open Dt_core
 
@@ -22,7 +22,8 @@ let map_matches_sequential () =
         (Printf.sprintf "string map, n = %d" n)
         (Array.map g a)
         (Dt_par.Pool.parallel_map pool g a))
-    [ 0; 1; 2; 3; 7; 64; 1000 ]
+    (* 3, 4 and 12 are d, d+1 and 4d for the 3-domain pool *)
+    [ 0; 1; 2; 3; 4; 7; 12; 64; 1000 ]
 
 let exceptions_propagate () =
   let pool = Lazy.force pool in
@@ -116,22 +117,6 @@ let fleet_parallel_is_sequential () =
     (same_outcomes (Dt_trace.Fleet.run fixed traces)
        (Dt_trace.Fleet.run ~pool:(Lazy.force pool) fixed traces))
 
-let auto_parallel_is_sequential () =
-  let traces = hf_like_traces ~traces:4 ~tasks_per_trace:60 in
-  Array.iter
-    (fun trace ->
-      let m_c = Dt_trace.Trace.min_capacity trace in
-      let instance = Dt_trace.Trace.to_instance trace ~capacity:(1.25 *. m_c) in
-      let h_seq, s_seq = Auto.select instance in
-      let h_par, s_par = Auto.select ~pool:(Lazy.force pool) instance in
-      Alcotest.(check string)
-        "same winner (tie-broken by candidate order)"
-        (Heuristic.name h_seq) (Heuristic.name h_par);
-      Alcotest.(check (float 0.0))
-        "same makespan"
-        (Schedule.makespan s_seq) (Schedule.makespan s_par))
-    traces
-
 (* Regression: shutdown semantics are defined — double shutdown is a
    no-op, any parallel_map afterwards (including the small-array fast
    path) raises, and non-positive domain counts are rejected at create. *)
@@ -171,49 +156,8 @@ let stats_expose_fallbacks () =
       Alcotest.(check bool) "steal counter is non-negative" true
         (s.Dt_par.Pool.steals >= 0))
 
-(* Satellite: chunk sizing at the boundary sizes n = d, d+1, 4d. An
-   uncalibrated pool must produce sane chunks (no empty chunk, never
-   larger than the balance cap), and min_chunk floors the result. *)
-let chunk_size_boundaries () =
-  Dt_par.Pool.with_pool ~num_domains:3 (fun p ->
-      let d = Dt_par.Pool.num_domains p in
-      List.iter
-        (fun n ->
-          let c = Dt_par.Pool.chunk_size p n in
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk for n=%d is positive" n)
-            true (c >= 1);
-          let balance_cap = max 1 ((n + (2 * d) - 1) / (2 * d)) in
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk for n=%d leaves >= 2 chunks per domain" n)
-            true
-            (c <= balance_cap);
-          (* min_chunk floors the size even past the balance cap *)
-          Alcotest.(check int)
-            (Printf.sprintf "min_chunk floors n=%d" n)
-            (max 16 c)
-            (Dt_par.Pool.chunk_size p ~min_chunk:16 n))
-        [ d; d + 1; 4 * d ];
-      (* a degenerate 1-element-per-domain split is still correct *)
-      List.iter
-        (fun n ->
-          let a = Array.init n (fun i -> i) in
-          Alcotest.(check (array int))
-            (Printf.sprintf "map at boundary n=%d" n)
-            (Array.map succ a)
-            (Dt_par.Pool.parallel_map p succ a);
-          Alcotest.(check (array int))
-            (Printf.sprintf "map at boundary n=%d with min_chunk" n)
-            (Array.map succ a)
-            (Dt_par.Pool.parallel_map ~min_chunk:8 p succ a))
-        [ d; d + 1; 4 * d ];
-      Alcotest.check_raises "min_chunk must be positive"
-        (Invalid_argument
-           "Pool.parallel_map: min_chunk must be positive (got 0)")
-        (fun () -> ignore (Dt_par.Pool.parallel_map ~min_chunk:0 p succ [| 1; 2; 3 |])))
-
 (* Concurrent parallel_map calls from several domains on one pool: each
-   caller helps with its own job's chunks, so all of them complete and
+   caller helps with its own job's elements, so all of them complete and
    each result is exactly the sequential map. *)
 let concurrent_callers () =
   let pool = Lazy.force pool in
@@ -230,6 +174,53 @@ let concurrent_callers () =
         (Printf.sprintf "caller %d got the sequential result" k)
         true (Domain.join d))
     callers
+
+(* Caller-help is what makes the pool deadlock-free: with the only worker
+   wedged inside a pinned task, a parallel_map from the main domain must
+   still finish, computed entirely by the caller. The deadline only turns
+   a pool without caller-help into a failure (the worker ran elements),
+   not a hang. *)
+let caller_helps_when_workers_are_busy () =
+  Dt_par.Pool.with_pool ~num_domains:1 (fun p ->
+      let started = Atomic.make false and release = Atomic.make false in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      Dt_par.Pool.submit p ~shard:0 (fun () ->
+          Atomic.set started true;
+          while (not (Atomic.get release)) && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done);
+      while not (Atomic.get started) do
+        Domain.cpu_relax ()
+      done;
+      let a = Array.init 64 (fun i -> i) in
+      let f x = (x * 7) + 3 in
+      let got = Dt_par.Pool.parallel_map p f a in
+      let steals = (Dt_par.Pool.stats p).Dt_par.Pool.steals in
+      Atomic.set release true;
+      Alcotest.(check (array int)) "sequential result" (Array.map f a) got;
+      Alcotest.(check int) "the wedged worker ran no element" 0 steals)
+
+(* [steals] counts elements run by a worker. Each element of a 2-element
+   map waits until the other has started, so the caller (which claims
+   one element at a time) cannot run both: the worker must run exactly
+   one. The deadline only turns a broken pool into a failure, not a hang. *)
+let steals_count_worker_elements () =
+  Dt_par.Pool.with_pool ~num_domains:1 (fun p ->
+      let before = (Dt_par.Pool.stats p).Dt_par.Pool.steals in
+      let started = Atomic.make 0 in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let f x =
+        Atomic.incr started;
+        while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        x + 1
+      in
+      Alcotest.(check (array int))
+        "result" [| 1; 2 |]
+        (Dt_par.Pool.parallel_map p f [| 0; 1 |]);
+      Alcotest.(check int) "worker ran exactly one element" 1
+        ((Dt_par.Pool.stats p).Dt_par.Pool.steals - before))
 
 (* Pinned submissions execute on their shard in submission order. *)
 let submit_is_ordered_per_shard () =
@@ -280,12 +271,13 @@ let suite =
     Alcotest.test_case "exception propagation" `Quick exceptions_propagate;
     Alcotest.test_case "nested calls fall back to sequential" `Quick nested_calls_degrade;
     Alcotest.test_case "stats expose inline fallbacks" `Quick stats_expose_fallbacks;
-    Alcotest.test_case "chunk sizing at boundary sizes" `Quick chunk_size_boundaries;
     Alcotest.test_case "concurrent callers all complete" `Quick concurrent_callers;
+    Alcotest.test_case "caller helps while the only worker is busy" `Quick
+      caller_helps_when_workers_are_busy;
+    Alcotest.test_case "steals count elements run by a worker" `Quick
+      steals_count_worker_elements;
     Alcotest.test_case "pinned submit is FIFO per shard" `Quick submit_is_ordered_per_shard;
     prop_parallel_map_is_map;
     Alcotest.test_case "fleet: pool = sequential, bit for bit" `Quick
       fleet_parallel_is_sequential;
-    Alcotest.test_case "auto: pool = sequential winner" `Quick
-      auto_parallel_is_sequential;
   ]
