@@ -124,6 +124,13 @@ for workload in fleet-hf serve-hf; do
   tail -n 1 "$tmp/bench-$workload.out"
 done
 
+echo "== schedule bit-identity on chemistry traces =="
+# Every heuristic's schedule, the portfolio winner, its makespan and OMIM
+# on the seed-1 HF and CCSD traces (300 processes), hashed. The expected
+# digest was recorded before the scheduling core's allocation-free
+# rewrite; any change to a schedule bit shows up here.
+dune exec bench/schedule_digest.exe -- --expect e3d464d098237a73e985e6b222c589f4
+
 echo "== core complexity sweep (fast workload) =="
 EXPERIMENTS=core DTSCHED_FAST=1 dune exec bench/main.exe
 

@@ -5,7 +5,9 @@
 
 val bins : capacity:float -> Task.t list -> Task.t list list
 (** First-Fit in the given (submission) order: each task goes to the first
-    bin where it fits; a new bin is opened otherwise. Raises
+    bin where it fits; a new bin is opened otherwise. O(n log b) for n
+    tasks packed into b bins: the leftmost fitting bin is found by a
+    descent of a max-tree over the bins' free space. Raises
     [Invalid_argument] if a task alone exceeds the capacity. *)
 
 val order : capacity:float -> Task.t list -> Task.t list

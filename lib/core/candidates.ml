@@ -56,10 +56,12 @@ let make_ws cap =
   }
 
 (* A domain's workspace. [gen] is bumped whenever an index is built on it
-   or released, so at most one index is valid per domain. *)
-type home = { mutable ws : ws; mutable gen : int }
+   or released, so at most one index is valid per domain. [keyed] is the
+   task count of the last successful build, whose keys, sort orders and
+   id lookup are still in [ws], or -1 when there is none. *)
+type home = { mutable ws : ws; mutable gen : int; mutable keyed : int }
 
-let key = Domain.DLS.new_key (fun () -> { ws = make_ws 1; gen = 0 })
+let key = Domain.DLS.new_key (fun () -> { ws = make_ws 1; gen = 0; keyed = -1 })
 
 type t = {
   home : home;
@@ -179,16 +181,9 @@ let index_ids ws n =
     if id.(by_id.(k)) = id.(by_id.(k - 1)) then duplicate id.(by_id.(k))
   done
 
-let build (home : home) present tasks =
-  let n = Array.length tasks in
-  let size = ref 1 in
-  while !size < n do
-    size := 2 * !size
-  done;
-  let size = !size in
-  if size > Array.length home.ws.comm then home.ws <- make_ws size;
-  let ws = home.ws in
-  home.gen <- home.gen + 1;
+(* Load the tasks' keys into the workspace and sort them: the per-slot
+   keys, the id lookup and both orders. *)
+let load_keys ws tasks n =
   Array.iteri
     (fun s (task : Task.t) ->
       ws.comm.(s) <- task.Task.comm;
@@ -197,37 +192,68 @@ let build (home : home) present tasks =
       ws.id.(s) <- task.Task.id)
     tasks;
   index_ids ws n;
-  Array.fill ws.lo 1 (2 * size - 1) (-1);
-  Array.fill ws.hi 1 (2 * size - 1) (-1);
-  Array.fill ws.bm 1 (2 * size - 1) (-1);
-  Array.fill ws.bc 1 (2 * size - 1) (-1);
-  Array.fill ws.mm 1 (2 * size - 1) Float.infinity;
   sort_by ws ws.mem n;
   for p = 0 to n - 1 do
     let s = ws.perm.(p) in
     ws.mpos.(s) <- p;
-    ws.msorted.(p) <- ws.mem.(s);
-    if present then begin
-      ws.lo.(size + p) <- s;
-      ws.hi.(size + p) <- s;
-      ws.bm.(size + p) <- s
-    end
+    ws.msorted.(p) <- ws.mem.(s)
   done;
   sort_by ws ws.comm n;
   for p = 0 to n - 1 do
     let s = ws.perm.(p) in
     ws.cpos.(s) <- p;
-    ws.csorted.(p) <- ws.comm.(s);
-    if present then begin
-      ws.bc.(size + p) <- s;
-      ws.mm.(size + p) <- ws.mem.(s)
-    end
+    ws.csorted.(p) <- ws.comm.(s)
+  done
+
+(* Do the tasks carry, slot by slot, the keys already loaded? Everything
+   [load_keys] derives depends on these alone. A NaN never matches. *)
+let same_keys ws tasks =
+  let rec go s =
+    s < 0
+    ||
+    let task = tasks.(s) in
+    ws.id.(s) = task.Task.id
+    && ws.comm.(s) = task.Task.comm
+    && ws.mem.(s) = task.Task.mem
+    && ws.acc.(s) = Task.acceleration task
+    && go (s - 1)
+  in
+  go (Array.length tasks - 1)
+
+let build (home : home) present tasks =
+  let n = Array.length tasks in
+  let size = ref 1 in
+  while !size < n do
+    size := 2 * !size
   done;
-  if present then
+  let size = !size in
+  home.gen <- home.gen + 1;
+  if not (home.keyed = n && same_keys home.ws tasks) then begin
+    home.keyed <- -1;
+    if size > Array.length home.ws.comm then home.ws <- make_ws size;
+    load_keys home.ws tasks n;
+    home.keyed <- n
+  end;
+  let ws = home.ws in
+  Array.fill ws.lo 1 (2 * size - 1) (-1);
+  Array.fill ws.hi 1 (2 * size - 1) (-1);
+  Array.fill ws.bm 1 (2 * size - 1) (-1);
+  Array.fill ws.bc 1 (2 * size - 1) (-1);
+  Array.fill ws.mm 1 (2 * size - 1) Float.infinity;
+  if present then begin
+    for s = 0 to n - 1 do
+      let m = size + ws.mpos.(s) and c = size + ws.cpos.(s) in
+      ws.lo.(m) <- s;
+      ws.hi.(m) <- s;
+      ws.bm.(m) <- s;
+      ws.bc.(c) <- s;
+      ws.mm.(c) <- ws.mem.(s)
+    done;
     for i = size - 1 downto 1 do
       fix_mem ws i;
       fix_comm ws i
-    done;
+    done
+  end;
   { home; gen = home.gen; ws; tasks; n; size; count = (if present then n else 0) }
 
 let with_index ?(present = true) tasks f =

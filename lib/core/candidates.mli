@@ -50,7 +50,19 @@
     large instances keep that much per domain that ran them. An index
     is only valid inside the {!with_index} call that built it, and only
     until the next index is built on the same domain; any later use
-    raises [Invalid_argument] instead of reading another run's data. *)
+    raises [Invalid_argument] instead of reading another run's data.
+
+    {b Reuse.} The workspace also keeps the last successful build's
+    keys: per slot, the task's comm, mem, acceleration and id, and the
+    sort orders and id lookup derived from them (no task itself is
+    retained). A build over an array of the same length whose slots
+    carry the same four keys, compared with [=], skips the sorts: its
+    cost drops from O(n log n) to an O(n) comparison plus an O(size)
+    reset and refill of the trees. Any mismatch, or a NaN, rebuilds in
+    full; a build that raises (a duplicate id) leaves nothing to reuse.
+    The offline portfolio builds six indexes over the same
+    [instance.tasks] array, the three dynamic and the three corrected
+    rules, so five of them reuse the first. *)
 
 type t
 
@@ -59,8 +71,10 @@ type t
 type crit = Lcmr | Scmr | Mamr
 
 val with_index : ?present:bool -> Task.t array -> (t -> 'a) -> 'a
-(** [with_index tasks f] builds an index over [tasks] in O(n log n),
-    every task present ([present], the default) or absent, and returns
+(** [with_index tasks f] builds an index over [tasks] in O(n log n), or
+    O(n) when the last build on this domain had the same keys (see
+    {b Reuse} above), every task present ([present], the default) or
+    absent, and returns
     [f index]. The index must not escape [f], and [f] must not build
     another index while it still uses this one. Raises
     [Invalid_argument "Candidates.add: duplicate task id <id>"] when two

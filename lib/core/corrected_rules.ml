@@ -16,11 +16,14 @@ let criterion = function
   | OOMAMR -> Dynamic_rules.MAMR
 
 (* The static order is held in an array with a head cursor that skips
-   scheduled tasks (O(n) total head advances), and the same array backs a
-   Candidates index whose membership marks what is scheduled, so the
-   correction step selects in O(log n) instead of re-filtering the list:
-   O(n log n) per run where the list version was O(n²). Bit-identical to
-   the frozen reference (property-tested). *)
+   scheduled tasks (O(n) total head advances), and a Candidates index
+   whose membership marks what is scheduled lets the correction step
+   select in O(log n) instead of re-filtering the list: O(n log n) per
+   run where the list version was O(n²). Without [?order] the index is
+   built over [instance.tasks], the array the dynamic rules index too, so
+   a portfolio reuses one index build (selections break ties by id, not
+   by slot, so the slot order does not matter). Bit-identical to the
+   frozen reference (property-tested). *)
 let run ?state ?order rule instance =
   let capacity = instance.Instance.capacity in
   let st = match state with Some s -> s | None -> Sim.initial_state () in
@@ -37,7 +40,8 @@ let run ?state ?order rule instance =
   let kcap = capacity *. (1.0 +. 1e-12) in
   let crit = Dynamic_rules.crit_of (criterion rule) in
   let arr = Array.of_list initial in
-  Candidates.with_index arr (fun idx ->
+  let indexed = match order with Some _ -> arr | None -> instance.Instance.tasks in
+  Candidates.with_index indexed (fun idx ->
       let head = ref 0 in
       let entries = ref [] in
       let take (t : Task.t) =

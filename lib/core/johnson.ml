@@ -12,4 +12,17 @@ let order tasks =
 
 let omim_schedule tasks = Sim.run_order_exn ~capacity:Float.infinity (order tasks)
 
-let omim tasks = Schedule.makespan (omim_schedule tasks)
+(* The two-machine recurrence of [omim_schedule]'s executor with no
+   memory bound, without building the schedule: the same arithmetic in
+   the same order, so the same bits (property-tested). *)
+let omim tasks =
+  let link = ref 0.0 and cpu = ref 0.0 and makespan = ref 0.0 in
+  List.iter
+    (fun (t : Task.t) ->
+      let comm_end = !link +. t.Task.comm in
+      let comp_end = Float.max comm_end !cpu +. t.Task.comp in
+      link := comm_end;
+      cpu := comp_end;
+      makespan := Float.max !makespan comp_end)
+    (order tasks);
+  !makespan

@@ -12,7 +12,9 @@ val order : Task.t list -> Task.t list
     time. Ties broken by task id, making the order deterministic. *)
 
 val omim : Task.t list -> float
-(** Makespan of {!order} executed without any memory constraint. *)
+(** Makespan of {!order} executed without any memory constraint, computed
+    by the two-machine recurrence without building {!omim_schedule}; the
+    same bits as [Schedule.makespan (omim_schedule tasks)]. *)
 
 val omim_schedule : Task.t list -> Schedule.t
 (** The witness schedule behind {!omim} (capacity recorded as infinite). *)

@@ -9,16 +9,25 @@ type t = {
   capacity : float;
 }
 
+let compare_entries a b =
+  let c = Float.compare a.s_comm b.s_comm in
+  if c <> 0 then c
+  else
+    let c = Float.compare a.s_comp b.s_comp in
+    if c <> 0 then c else Int.compare a.task.Task.id b.task.Task.id
+
+(* The executors commit entries on a sequential link and unit, so they
+   arrive sorted already; one pass confirms it and the sort only runs for
+   the producers that interleave (dual orders, LP, batches, DAGs, ties
+   between zero-length tasks). The order is total, so either way the
+   result is the same array. *)
 let make ~capacity entries =
   let entries = Array.of_list entries in
-  let cmp a b =
-    let c = Float.compare a.s_comm b.s_comm in
-    if c <> 0 then c
-    else
-      let c = Float.compare a.s_comp b.s_comp in
-      if c <> 0 then c else Int.compare a.task.Task.id b.task.Task.id
-  in
-  Array.sort cmp entries;
+  let i = ref 1 and n = Array.length entries in
+  while !i < n && compare_entries entries.(!i - 1) entries.(!i) <= 0 do
+    incr i
+  done;
+  if !i < n then Array.sort compare_entries entries;
   { entries; capacity }
 
 let entries t = Array.to_list t.entries

@@ -14,7 +14,9 @@ type t = private {
 }
 
 val make : capacity:float -> entry list -> t
-(** Sorts entries by communication start. Does not validate; see {!check}. *)
+(** Sorts entries by [(s_comm, s_comp, id)]. O(n) when they already come
+    in that order, as every sequential executor emits them; O(n log n)
+    otherwise. Does not validate; see {!check}. *)
 
 val entries : t -> entry list
 val size : t -> int

@@ -1,94 +1,142 @@
-type state = {
+(* All-float, so OCaml stores the record flat and a clock write boxes
+   nothing. *)
+type clocks = {
   mutable link_free : float;
   mutable cpu_free : float;
   mutable used : float;
-  releases : (float * float) Queue.t;
-      (* (computation end, memory) — pushed in computation order, hence in
-         nondecreasing time: computations are sequential on the single
-         processing unit, so their completion instants are ordered. *)
 }
 
+(* Pending releases (computation end, memory) in a power-of-two ring of
+   two float arrays: [len] entries from [head], wrapping. They are pushed
+   in computation order, hence in nondecreasing time: computations are
+   sequential on the single processing unit, so their completion instants
+   are ordered. *)
+type state = {
+  c : clocks;
+  mutable rel_time : float array;
+  mutable rel_mem : float array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let fresh_clocks () = { link_free = 0.0; cpu_free = 0.0; used = 0.0 }
+
 let initial_state () =
-  { link_free = 0.0; cpu_free = 0.0; used = 0.0; releases = Queue.create () }
+  {
+    c = fresh_clocks ();
+    rel_time = Array.make 16 0.0;
+    rel_mem = Array.make 16 0.0;
+    head = 0;
+    len = 0;
+  }
 
 let copy_state st =
   {
-    link_free = st.link_free;
-    cpu_free = st.cpu_free;
-    used = st.used;
-    releases = Queue.copy st.releases;
+    c = { link_free = st.c.link_free; cpu_free = st.c.cpu_free; used = st.c.used };
+    rel_time = Array.copy st.rel_time;
+    rel_mem = Array.copy st.rel_mem;
+    head = st.head;
+    len = st.len;
   }
+
+(* Double the ring, unwrapping it to start at slot 0. *)
+let grow st =
+  let cap = Array.length st.rel_time in
+  let rel_time = Array.make (2 * cap) 0.0 and rel_mem = Array.make (2 * cap) 0.0 in
+  for k = 0 to st.len - 1 do
+    let i = (st.head + k) land (cap - 1) in
+    rel_time.(k) <- st.rel_time.(i);
+    rel_mem.(k) <- st.rel_mem.(i)
+  done;
+  st.rel_time <- rel_time;
+  st.rel_mem <- rel_mem;
+  st.head <- 0
+
+let[@inline] push_release st time m =
+  if st.len = Array.length st.rel_time then grow st;
+  let i = (st.head + st.len) land (Array.length st.rel_time - 1) in
+  st.rel_time.(i) <- time;
+  st.rel_mem.(i) <- m;
+  st.len <- st.len + 1
+
+(* Consume the earliest release, freeing its memory. The ring must not
+   be empty. *)
+let[@inline] pop_release st =
+  st.c.used <- st.c.used -. st.rel_mem.(st.head);
+  st.head <- (st.head + 1) land (Array.length st.rel_time - 1);
+  st.len <- st.len - 1
+
+(* Consume the earliest release and move the link to it if it is later:
+   the link waits for the memory it frees. *)
+let[@inline] wait_release st =
+  let t = st.rel_time.(st.head) in
+  if t > st.c.link_free then st.c.link_free <- t;
+  pop_release st
 
 let restore_state ~link_free ~cpu_free ~held =
   let st = initial_state () in
-  st.link_free <- link_free;
-  st.cpu_free <- cpu_free;
+  st.c.link_free <- link_free;
+  st.c.cpu_free <- cpu_free;
   List.iter
     (fun (t, m) ->
-      st.used <- st.used +. m;
-      Queue.push (t, m) st.releases)
+      st.c.used <- st.c.used +. m;
+      push_release st t m)
     (List.sort (fun (a, _) (b, _) -> Float.compare a b) held);
   st
 
 let dump_state st =
-  (st.link_free, st.cpu_free, List.of_seq (Queue.to_seq st.releases))
-
-let link_free_time st = st.link_free
-let cpu_free_time st = st.cpu_free
-let memory_in_use st = st.used
-
-let process_releases_until st time =
-  let rec loop () =
-    match Queue.peek_opt st.releases with
-    | Some (t, m) when t <= time ->
-        ignore (Queue.pop st.releases);
-        st.used <- st.used -. m;
-        loop ()
-    | Some _ | None -> ()
+  let cap = Array.length st.rel_time in
+  let held =
+    List.init st.len (fun k ->
+        let i = (st.head + k) land (cap - 1) in
+        (st.rel_time.(i), st.rel_mem.(i)))
   in
-  loop ()
+  (st.c.link_free, st.c.cpu_free, held)
 
-let next_release_time st = Option.map fst (Queue.peek_opt st.releases)
+let link_free_time st = st.c.link_free
+let cpu_free_time st = st.c.cpu_free
+let memory_in_use st = st.c.used
 
-let settle st = process_releases_until st st.link_free
+let next_release_time st = if st.len = 0 then None else Some st.rel_time.(st.head)
 
-let advance_link_to st time = if time > st.link_free then st.link_free <- time
+let settle st =
+  while st.len > 0 && st.rel_time.(st.head) <= st.c.link_free do
+    pop_release st
+  done
+
+let advance_link_to st time = if time > st.c.link_free then st.c.link_free <- time
 
 let advance_to_next_release st =
-  match Queue.peek_opt st.releases with
-  | None -> false
-  | Some (t, m) ->
-      ignore (Queue.pop st.releases);
-      st.used <- st.used -. m;
-      if t > st.link_free then st.link_free <- t;
-      true
+  if st.len = 0 then false
+  else begin
+    wait_release st;
+    true
+  end
 
 let fits_now st ~capacity m =
-  process_releases_until st st.link_free;
-  st.used +. m <= capacity *. (1.0 +. 1e-12)
+  settle st;
+  st.c.used +. m <= capacity *. (1.0 +. 1e-12)
 
 let schedule_task st ~capacity (task : Task.t) =
   if task.Task.mem > capacity *. (1.0 +. 1e-12) then
     invalid_arg
       (Printf.sprintf "Sim.schedule_task: task %d needs %g > capacity %g" task.Task.id
          task.Task.mem capacity);
-  process_releases_until st st.link_free;
-  let start = ref st.link_free in
-  while st.used +. task.Task.mem > capacity *. (1.0 +. 1e-12) do
-    match Queue.take_opt st.releases with
-    | None -> assert false (* task.mem <= capacity, so memory must free up *)
-    | Some (t, m) ->
-        st.used <- st.used -. m;
-        if t > !start then start := t
+  let c = st.c in
+  settle st;
+  while c.used +. task.Task.mem > capacity *. (1.0 +. 1e-12) do
+    (* task.mem <= capacity, so memory must free up *)
+    assert (st.len > 0);
+    wait_release st
   done;
-  let s_comm = !start in
+  let s_comm = c.link_free in
   let comm_end = s_comm +. task.Task.comm in
-  let s_comp = Float.max comm_end st.cpu_free in
+  let s_comp = Float.max comm_end c.cpu_free in
   let comp_end = s_comp +. task.Task.comp in
-  st.used <- st.used +. task.Task.mem;
-  Queue.push (comp_end, task.Task.mem) st.releases;
-  st.link_free <- comm_end;
-  st.cpu_free <- comp_end;
+  c.used <- c.used +. task.Task.mem;
+  push_release st comp_end task.Task.mem;
+  c.link_free <- comm_end;
+  c.cpu_free <- comp_end;
   { Schedule.task; s_comm; s_comp }
 
 let run_order ?state ~capacity tasks =
@@ -151,10 +199,10 @@ let run_two_orders ?state ~capacity ~comm_order comp_order =
           if started t then begin
             let s_comm = s_comm_of.(t.Task.id - lo) in
             let ce = s_comm +. t.Task.comm in
-            let s_comp = Float.max ce st.cpu_free in
+            let s_comp = Float.max ce st.c.cpu_free in
             let comp_end = s_comp +. t.Task.comp in
-            st.cpu_free <- comp_end;
-            Queue.push (comp_end, t.Task.mem) st.releases;
+            st.c.cpu_free <- comp_end;
+            push_release st comp_end t.Task.mem;
             entries := { Schedule.task = t; s_comm; s_comp } :: !entries;
             pending_comp := rest;
             progress := true;
@@ -169,20 +217,14 @@ let run_two_orders ?state ~capacity ~comm_order comp_order =
     | [] -> false
     | t :: rest ->
         if t.Task.mem > capacity *. (1.0 +. 1e-12) then raise (Stop (Too_big t));
-        process_releases_until st st.link_free;
-        let start = ref st.link_free in
-        let fits = ref (st.used +. t.Task.mem <= capacity *. (1.0 +. 1e-12)) in
-        while not !fits do
-          match Queue.take_opt st.releases with
-          | None -> raise (Stop (Deadlock t))
-          | Some (time, m) ->
-              st.used <- st.used -. m;
-              if time > !start then start := time;
-              fits := st.used +. t.Task.mem <= capacity *. (1.0 +. 1e-12)
+        settle st;
+        while not (st.c.used +. t.Task.mem <= capacity *. (1.0 +. 1e-12)) do
+          if st.len = 0 then raise (Stop (Deadlock t));
+          wait_release st
         done;
-        let s_comm = !start in
-        st.used <- st.used +. t.Task.mem;
-        st.link_free <- s_comm +. t.Task.comm;
+        let s_comm = st.c.link_free in
+        st.c.used <- st.c.used +. t.Task.mem;
+        st.c.link_free <- s_comm +. t.Task.comm;
         s_comm_of.(t.Task.id - lo) <- s_comm;
         comm_started.(t.Task.id - lo) <- true;
         pending_comm := rest;
@@ -220,15 +262,15 @@ type cached_event = {
 }
 
 type cached_state = {
-  cbase : state; (* link/cpu clocks + private memory in use; its
-                    [releases] queue is unused — [cevents] replaces it,
-                    carrying unpins and write-back admissions too *)
+  cbase : clocks; (* link/cpu clocks + private memory in use; [cevents]
+                     replaces the flat release ring, carrying unpins and
+                     write-back admissions too *)
   cres : Residency.t;
   cevents : cached_event Queue.t; (* pushed in nondecreasing time order *)
 }
 
 let cached_state ?policy () =
-  { cbase = initial_state (); cres = Residency.create ?policy (); cevents = Queue.create () }
+  { cbase = fresh_clocks (); cres = Residency.create ?policy (); cevents = Queue.create () }
 
 let cached_residency cs = cs.cres
 let cached_link_free cs = cs.cbase.link_free

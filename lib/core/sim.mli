@@ -14,7 +14,10 @@
 
 type state
 (** Mutable executor state: link/processor availability, memory in use and
-    the pending release events (computation completions). *)
+    the pending release events (computation completions). The clocks sit
+    in a flat all-float record and the releases in a growable ring of two
+    float arrays, so an executor step allocates nothing but the entry it
+    returns. *)
 
 val initial_state : unit -> state
 (** Everything free at time [0.]. *)

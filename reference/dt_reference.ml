@@ -1,9 +1,11 @@
 (* Frozen pre-rewrite implementations of the decision loops (dynamic
-   rules, corrected rules, online engine), kept verbatim. Two users:
+   rules, corrected rules, online engine) and of BP's First-Fit packing,
+   kept verbatim. Two users:
    - test/test_equiv.ml pins the rewritten O(n log n) paths to
-     bit-identical schedules against these copies with QCheck properties;
-   - bench/core_scaling.ml times them as the "before" numbers the
-     rewritten paths are compared against.
+     bit-identical schedules (and BP to identical bins) against these
+     copies with QCheck properties;
+   - bench/core_scaling.ml times the decision loops as the "before"
+     numbers the rewritten paths are compared against.
    Do not "fix" or modernise this file — its value is that it does not
    change. *)
 
@@ -69,6 +71,34 @@ module Dyn = struct
     in
     step ();
     Schedule.make ~capacity (List.rev !entries)
+end
+
+(* Old Bin_packing.bins: First-Fit scanning a list of open bins, a new
+   bin appended with [@]; O(bins) per task. *)
+module Bp = struct
+  type bin = { mutable free : float; mutable members : Task.t list }
+
+  let bins ~capacity tasks =
+    let open_bins = ref [] in
+    let place t =
+      if t.Task.mem > capacity *. (1.0 +. 1e-12) then
+        invalid_arg
+          (Printf.sprintf "Bin_packing: task %d needs %g > capacity %g" t.Task.id t.Task.mem
+             capacity);
+      let rec fit = function
+        | [] ->
+            open_bins := !open_bins @ [ { free = capacity -. t.Task.mem; members = [ t ] } ]
+        | b :: rest ->
+            if t.Task.mem <= b.free +. (1e-12 *. Float.max 1.0 capacity) then begin
+              b.free <- b.free -. t.Task.mem;
+              b.members <- t :: b.members
+            end
+            else fit rest
+      in
+      fit !open_bins
+    in
+    List.iter place tasks;
+    List.map (fun b -> List.rev b.members) !open_bins
 end
 
 (* Old Corrected_rules: pending kept as a list, head by pattern match,

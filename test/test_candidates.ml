@@ -251,20 +251,160 @@ let alloc_tests =
   List.map
     (fun c ->
       let name = Dynamic_rules.name c in
-      Alcotest.test_case (name ^ " <= 400 minor words per task") `Quick
-        (alloc_budget name 400.0 (fun () -> Dynamic_rules.run c alloc_instance)))
+      Alcotest.test_case (name ^ " <= 150 minor words per task") `Quick
+        (alloc_budget name 150.0 (fun () -> Dynamic_rules.run c alloc_instance)))
     Dynamic_rules.all
   @ List.map
       (fun r ->
         let name = Corrected_rules.name r in
-        Alcotest.test_case (name ^ " <= 400 minor words per task") `Quick
-          (alloc_budget name 400.0 (fun () -> Corrected_rules.run r alloc_instance)))
+        Alcotest.test_case (name ^ " <= 150 minor words per task") `Quick
+          (alloc_budget name 150.0 (fun () -> Corrected_rules.run r alloc_instance)))
       Corrected_rules.all
   @ [
-      Alcotest.test_case "Auto.select portfolio <= 3000 minor words per task" `Quick
-        (alloc_budget "Auto.select" 3000.0 (fun () ->
+      Alcotest.test_case "Auto.select portfolio <= 1200 minor words per task" `Quick
+        (alloc_budget "Auto.select" 1200.0 (fun () ->
              Auto.select ~candidates:Heuristic.all alloc_instance));
     ]
+
+(* The executor step allocates only the entry it returns (8 words: the
+   record and its two boxed start times); the fleet's per-process call
+   adds the trace-to-instance conversion to the portfolio (measured at
+   about 910 words per task). *)
+let alloc_tests_executor_fleet =
+  let capacity = alloc_instance.Instance.capacity in
+  let trace = Dt_trace.Trace.make ~name:"alloc" (Instance.task_list alloc_instance) in
+  [
+    Alcotest.test_case "Sim.schedule_task <= 16 minor words per task" `Quick
+      (alloc_budget "Sim.schedule_task" 16.0 (fun () ->
+           let st = Sim.initial_state () in
+           Array.iter
+             (fun t -> ignore (Sys.opaque_identity (Sim.schedule_task st ~capacity t)))
+             alloc_instance.Instance.tasks));
+    Alcotest.test_case "Fleet.schedule_process <= 1200 minor words per task" `Quick
+      (alloc_budget "Fleet.schedule_process" 1200.0 (fun () ->
+           Dt_trace.Fleet.schedule_process ~capacity_factor:1.5
+             (Dt_trace.Fleet.Portfolio Heuristic.all) trace));
+  ]
+
+(* The selections of one add/remove/select script, on the present tasks
+   of an index built over [tasks]. *)
+let selections (tasks, present, ops) =
+  let live = Array.make (Array.length tasks) present in
+  Candidates.with_index ~present tasks (fun idx ->
+      List.filter_map
+        (fun op ->
+          match op with
+          | Add _ | Remove _ when Array.length tasks = 0 -> None
+          | Add s ->
+              if not live.(s) then begin
+                Candidates.add idx tasks.(s);
+                live.(s) <- true
+              end;
+              None
+          | Remove s ->
+              if live.(s) then begin
+                Candidates.remove idx tasks.(s);
+                live.(s) <- false
+              end;
+              None
+          | Select { crit; filter; used; kcap; cpu_free; now } ->
+              Some
+                (id_of
+                   (Candidates.select ~min_idle_filter:filter idx (Dynamic_rules.crit_of crit)
+                      ~used ~kcap ~cpu_free ~now)))
+        ops)
+
+(* The same script on a domain whose workspace has never held an index. *)
+let fresh_selections case = Domain.join (Domain.spawn (fun () -> selections case))
+
+(* A build over tasks with the same keys as the last one reuses its sort
+   orders: both builds must still answer like the list scan and like a
+   fresh domain. *)
+let reuse_matches_fresh =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"a rebuild on equal content = a fresh domain's index"
+       ~print:print_case case_gen (fun ((tasks, present, ops) as case) ->
+         let again = (Array.map Fun.id tasks, present, ops) in
+         index_matches_scan case && index_matches_scan again
+         && selections again = fresh_selections case))
+
+type field = Comm | Mem | Comp | Id
+
+(* One task's comm, mem, comp (through its acceleration) or id changed
+   after a build at equal length: the next build must not reuse the stale
+   keys. *)
+let changed_field_rebuilds =
+  let gen =
+    QCheck2.Gen.(
+      let* ((tasks, _, _) as case) = case_gen in
+      let* slot = int_range 0 (max 0 (Array.length tasks - 1)) in
+      let* field = oneofl [ Comm; Mem; Comp; Id ] in
+      return (case, slot, field))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"a rebuild after one changed field = a fresh index"
+       ~print:(fun (case, slot, field) ->
+         Printf.sprintf "slot %d, field %s\n%s" slot
+           (match field with Comm -> "comm" | Mem -> "mem" | Comp -> "comp" | Id -> "id")
+           (print_case case))
+       gen
+       (fun (((tasks, present, ops) as case), slot, field) ->
+         Array.length tasks = 0
+         ||
+         let t = tasks.(slot) in
+         let fresh_id = 1 + Array.fold_left (fun a (u : Task.t) -> max a u.Task.id) 0 tasks in
+         let id, comm, comp, mem =
+           match field with
+           | Comm -> (t.Task.id, t.Task.comm +. 0.5, t.Task.comp, t.Task.mem)
+           | Mem -> (t.Task.id, t.Task.comm, t.Task.comp, t.Task.mem +. 0.5)
+           | Comp -> (t.Task.id, t.Task.comm, t.Task.comp +. 1.0, t.Task.mem)
+           | Id -> (fresh_id, t.Task.comm, t.Task.comp, t.Task.mem)
+         in
+         let changed = Array.copy tasks in
+         changed.(slot) <- Task.make ~id ~comm ~comp ~mem ();
+         let case' = (changed, present, ops) in
+         index_matches_scan case && index_matches_scan case'
+         && selections case' = fresh_selections case'))
+
+let failed_build_leaves_nothing () =
+  let good = [| task ~id:0 ~comm:1.0; task ~id:1 ~comm:2.0; task ~id:2 ~comm:3.0 |]
+  and dup = [| task ~id:0 ~comm:1.0; task ~id:1 ~comm:2.0; task ~id:1 ~comm:3.0 |] in
+  Candidates.with_index good ignore;
+  let fails () =
+    Alcotest.check_raises "duplicate id"
+      (Invalid_argument "Candidates.add: duplicate task id 1") (fun () ->
+        Candidates.with_index dup ignore)
+  in
+  (* the failed build loaded its keys before it raised; the second
+     attempt must not take them for a reusable build *)
+  fails ();
+  fails ();
+  Alcotest.(check bool) "a valid build afterwards" true
+    (index_matches_scan
+       ( good,
+         true,
+         [ Select { crit = Dynamic_rules.LCMR; filter = true; used = 0.0; kcap = 10.0; cpu_free = 5.0; now = 0.0 } ] ))
+
+(* A custom static order indexes its own array rather than the
+   instance's; it must still follow the frozen reference. *)
+let corrected_custom_order =
+  let gen =
+    QCheck2.Gen.(
+      let* i = Generators.instance_gen ~min_size:1 ~max_size:40 () in
+      let* order = shuffle_l (Instance.task_list i) in
+      let* rule = oneofl Corrected_rules.all in
+      return (i, order, rule))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"Corrected ~order = reference, bit for bit"
+       ~print:(fun (i, order, rule) ->
+         Printf.sprintf "%s %s order=[%s]" (Corrected_rules.name rule) (Generators.instance_print i)
+           (String.concat " " (List.map (fun (t : Task.t) -> string_of_int t.Task.id) order)))
+       gen
+       (fun (i, order, rule) ->
+         Test_equiv.same_schedule
+           (Corrected_rules.run ~order rule i)
+           (Dt_reference.Cor.run ~order rule i)))
 
 let suite =
   [
@@ -275,3 +415,11 @@ let suite =
       nested_index_invalidates_outer;
   ]
   @ alloc_tests
+  @ [
+      reuse_matches_fresh;
+      changed_field_rebuilds;
+      Alcotest.test_case "a failed build leaves nothing reusable" `Quick
+        failed_build_leaves_nothing;
+      corrected_custom_order;
+    ]
+  @ alloc_tests_executor_fleet

@@ -116,6 +116,65 @@ let duplicate_submit_rejected () =
   | Engine.Accepted -> ()
   | _ -> Alcotest.fail "id reuse after scheduling rejected"
 
+(* First-Fit against the frozen list scan: same bins, same members in the
+   same order. Memories sit at, just below and just above the capacity,
+   around half of it and inside the 1e-12 fit slack, so exact fits and
+   near misses are common. *)
+let bp_gen =
+  QCheck2.Gen.(
+    let* capacity = oneofl [ 0.5; 1.0; 10.0; 3.7e9 ] in
+    let slack = 1e-12 *. Float.max 1.0 capacity in
+    let mem =
+      oneof
+        [
+          oneofl
+            [
+              0.0;
+              capacity;
+              capacity *. (1.0 -. 1e-13);
+              capacity *. (1.0 +. 5e-13);
+              capacity -. (slack /. 2.0);
+              capacity /. 2.0;
+              (capacity /. 2.0) +. (slack /. 2.0);
+              (capacity /. 2.0) -. (slack /. 2.0);
+              capacity /. 3.0;
+            ];
+          map (fun x -> capacity *. float_of_int x /. 16.0) (int_range 1 16);
+        ]
+    in
+    let* mems = list_size (int_range 0 60) mem in
+    return
+      (capacity, List.mapi (fun id mem -> Task.make ~id ~comm:1.0 ~comp:1.0 ~mem ()) mems))
+
+let bins_ids bins = List.map (List.map (fun (t : Task.t) -> t.Task.id)) bins
+
+let bp_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"Bin_packing.bins = reference First-Fit"
+       ~print:(fun (capacity, tasks) ->
+         Printf.sprintf "capacity=%h mems=[%s]" capacity
+           (String.concat "; " (List.map (fun (t : Task.t) -> Printf.sprintf "%h" t.Task.mem) tasks)))
+       bp_gen
+       (fun (capacity, tasks) ->
+         let run f = match f ~capacity tasks with b -> Ok b | exception Invalid_argument m -> Error m in
+         match (run Bin_packing.bins, run Dt_reference.Bp.bins) with
+         | Ok a, Ok b -> bins_ids a = bins_ids b && List.for_all2 (List.for_all2 ( == )) a b
+         | Error a, Error b -> a = b
+         | Ok _, Error _ | Error _, Ok _ -> false))
+
+(* Every task above half the capacity opens its own bin: 20,000 bins,
+   which the list scan took quadratic time to reach. *)
+let bp_one_bin_per_task () =
+  let n = 20_000 in
+  let tasks =
+    List.init n (fun id ->
+        Task.make ~id ~comm:1.0 ~comp:1.0 ~mem:(0.5 +. (float_of_int (1 + (id mod 7)) /. 16.0)) ())
+  in
+  let bins = Bin_packing.bins ~capacity:1.0 tasks in
+  Alcotest.(check int) "one bin per task" n (List.length bins);
+  Alcotest.(check bool) "in submission order" true
+    (bins_ids bins = List.init n (fun id -> [ id ]))
+
 let suite =
   List.concat
     [
@@ -129,5 +188,8 @@ let suite =
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;
         Alcotest.test_case "duplicate pending id raises on submit" `Quick
           duplicate_submit_rejected;
+        bp_prop;
+        Alcotest.test_case "First-Fit with one bin per task (20,000 tasks)" `Quick
+          bp_one_bin_per_task;
       ];
     ]

@@ -103,3 +103,32 @@ let prop_lemma1 =
          end))
 
 let suite = suite @ [ prop_lemma1 ]
+
+(* OMIM is computed without building its witness schedule; the two must
+   agree bit for bit. Arbitrary (not dyadic) durations, zeros and the
+   empty list included. *)
+let prop_omim_is_witness_makespan =
+  let dur = QCheck2.Gen.(frequency [ (1, return 0.0); (4, float_bound_inclusive 100.0) ]) in
+  let gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, return []);
+          ( 10,
+            map
+              (List.mapi (fun id (comm, comp) -> Task.make ~id ~comm ~comp ()))
+              (list_size (int_range 1 40) (pair dur dur)) );
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"omim = makespan of omim_schedule, bit for bit"
+       ~print:(fun ts ->
+         String.concat "; "
+           (List.map (fun (t : Task.t) -> Printf.sprintf "%h/%h" t.Task.comm t.Task.comp) ts))
+       gen
+       (fun tasks ->
+         Int64.equal
+           (Int64.bits_of_float (Johnson.omim tasks))
+           (Int64.bits_of_float (Schedule.makespan (Johnson.omim_schedule tasks)))))
+
+let suite = suite @ [ prop_omim_is_witness_makespan ]

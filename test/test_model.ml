@@ -93,3 +93,53 @@ let suite =
     Alcotest.test_case "schedule metrics" `Quick schedule_metrics;
     Alcotest.test_case "schedule violations" `Quick schedule_violations;
   ]
+
+(* The order Schedule.make sorts by, restated: (s_comm, s_comp, id). *)
+let entry_order (a : Schedule.entry) (b : Schedule.entry) =
+  compare
+    (a.Schedule.s_comm, a.Schedule.s_comp, a.Schedule.task.Task.id)
+    (b.Schedule.s_comm, b.Schedule.s_comp, b.Schedule.task.Task.id)
+
+(* Entries with few distinct start times, so ties on s_comm and on
+   (s_comm, s_comp) are common; ids are distinct. *)
+let entries_gen =
+  QCheck2.Gen.(
+    let* n = int_range 0 30 in
+    let time = map (fun x -> float_of_int x /. 2.0) (int_range 0 4) in
+    let* starts = list_repeat n (pair time time) in
+    let* ids = shuffle_l (List.init n Fun.id) in
+    return
+      (List.map2
+         (fun (s_comm, s_comp) id ->
+           { Schedule.task = Task.make ~id ~comm:0.0 ~comp:0.0 (); s_comm; s_comp })
+         starts ids))
+
+let same_array a b = Array.length a = Array.length b && Array.for_all2 ( == ) a b
+
+let make_sorted_input =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"Schedule.make on sorted input = forced sort"
+       entries_gen (fun entries ->
+         let sorted = List.sort entry_order entries in
+         let forced = Schedule.make ~capacity:1.0 entries
+         and in_order = Schedule.make ~capacity:1.0 sorted in
+         same_array in_order.Schedule.entries forced.Schedule.entries
+         && same_array in_order.Schedule.entries (Array.of_list sorted)))
+
+let make_sorts_zero_length_ties () =
+  (* zero-length tasks all start at 0: only the ids order them, and an
+     executor given them in descending id order emits them out of order *)
+  let tasks = List.init 5 (fun k -> Task.make ~id:(4 - k) ~comm:0.0 ~comp:0.0 ()) in
+  let ids s = List.map (fun (e : Schedule.entry) -> e.Schedule.task.Task.id) (Schedule.entries s) in
+  Alcotest.(check (list int)) "executor output sorted by id" [ 0; 1; 2; 3; 4 ]
+    (ids (Sim.run_order_exn ~capacity:1.0 tasks));
+  let entries = List.map (fun task -> { Schedule.task; s_comm = 0.0; s_comp = 0.0 }) tasks in
+  Alcotest.(check (list int)) "make sorts by id" [ 0; 1; 2; 3; 4 ]
+    (ids (Schedule.make ~capacity:1.0 entries))
+
+let suite =
+  suite
+  @ [
+      make_sorted_input;
+      Alcotest.test_case "zero-length ties reach the sort" `Quick make_sorts_zero_length_ties;
+    ]

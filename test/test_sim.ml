@@ -158,3 +158,87 @@ let suite =
       Alcotest.test_case "copied state is independent" `Quick copied_state_is_independent;
       Alcotest.test_case "lp boundary holds memory" `Quick lp_boundary_respects_held_memory;
     ]
+
+(* comm 1, comp 10, mem 1 under a large capacity: the link runs ahead of
+   the unit, so releases pile up at 11, 21, 31, ... *)
+let backlog_task id = Task.make ~id ~comm:1.0 ~comp:10.0 ()
+
+let schedule_backlog st ids =
+  List.iter (fun id -> ignore (Sim.schedule_task st ~capacity:1000.0 (backlog_task id))) ids
+
+(* 10 pending releases; 5 of them (at 11 .. 51) consumed, then 20 more
+   pushed from t = 51 while the release at 61 is consumed on the way:
+   the ring's tail wraps past slot 15 before the 17th pending release
+   forces it to grow, and 24 remain pending. *)
+let wrapped_state () =
+  let st = Sim.initial_state () in
+  schedule_backlog st (List.init 10 Fun.id);
+  Sim.advance_link_to st 51.0;
+  Sim.settle st;
+  schedule_backlog st (List.init 20 (fun k -> 10 + k));
+  st
+
+let held_bits (_, _, held) = List.map (fun (t, m) -> (Int64.bits_of_float t, Int64.bits_of_float m)) held
+
+let dump_bits st =
+  let link, cpu, _ = Sim.dump_state st in
+  (Int64.bits_of_float link, Int64.bits_of_float cpu, held_bits (Sim.dump_state st))
+
+let ring_wraps_then_grows () =
+  let st = wrapped_state () in
+  let _, _, held = Sim.dump_state st in
+  (* task k computes in [10k + 1, 10k + 11); tasks 6 .. 29 still hold *)
+  let expected = List.init 24 (fun k -> (float_of_int ((10 * (k + 6)) + 11), 1.0)) in
+  Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "pending releases in order" expected held;
+  check_float "memory held" 24.0 (Sim.memory_in_use st);
+  Alcotest.(check (option (float 0.0))) "next release" (Some 71.0) (Sim.next_release_time st);
+  let times = ref [] in
+  while Sim.advance_to_next_release st do
+    times := Sim.link_free_time st :: !times
+  done;
+  Alcotest.(check (list (float 0.0))) "consumed in order" (List.map fst expected) (List.rev !times);
+  check_float "all memory released" 0.0 (Sim.memory_in_use st)
+
+let copies_stay_independent () =
+  let st = wrapped_state () in
+  let before = dump_bits st in
+  let copy = Sim.copy_state st in
+  (* advance the copy, with tasks unlike the original's later ones: the
+     original must not move *)
+  List.iter
+    (fun id -> ignore (Sim.schedule_task copy ~capacity:1000.0 (Task.make ~id ~comm:1.0 ~comp:3.0 ())))
+    [ 100; 101 ];
+  ignore (Sim.advance_to_next_release copy);
+  Alcotest.(check bool) "original untouched by the copy" true (dump_bits st = before);
+  let copy_before = dump_bits copy in
+  (* advance the original: the copy must not move *)
+  schedule_backlog st (List.init 20 (fun k -> 200 + k));
+  Sim.advance_link_to st 400.0;
+  Sim.settle st;
+  Alcotest.(check bool) "copy untouched by the original" true (dump_bits copy = copy_before);
+  Alcotest.(check bool) "the two diverged" true (dump_bits st <> dump_bits copy)
+
+let dump_restore_roundtrip () =
+  List.iter
+    (fun st ->
+      let link_free, cpu_free, held = Sim.dump_state st in
+      let st' = Sim.restore_state ~link_free ~cpu_free ~held in
+      Alcotest.(check bool) "same dump" true (dump_bits st' = dump_bits st);
+      Alcotest.(check int64) "same memory" (Int64.bits_of_float (Sim.memory_in_use st))
+        (Int64.bits_of_float (Sim.memory_in_use st'));
+      (* and the same future *)
+      let next st = Sim.schedule_task st ~capacity:30.0 (Task.make ~id:999 ~comm:2.0 ~comp:1.0 ~mem:20.0 ()) in
+      let e = next st and e' = next st' in
+      Alcotest.(check (pair (float 0.0) (float 0.0))) "same next entry"
+        (e.Schedule.s_comm, e.Schedule.s_comp) (e'.Schedule.s_comm, e'.Schedule.s_comp);
+      Alcotest.(check bool) "same state after" true (dump_bits st' = dump_bits st))
+    [ Sim.initial_state (); wrapped_state () ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "release ring wraps, then grows" `Quick ring_wraps_then_grows;
+      Alcotest.test_case "copies stay independent both ways" `Quick copies_stay_independent;
+      Alcotest.test_case "dump_state then restore_state is the identity" `Quick
+        dump_restore_roundtrip;
+    ]
