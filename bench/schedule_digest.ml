@@ -8,18 +8,7 @@
      dune exec bench/schedule_digest.exe -- --expect D  # exit 1 unless D *)
 
 open Dt_core
-
-let traces kind =
-  let cluster = Dt_ga.Cluster.cascade and seed = 1 in
-  match kind with
-  | `Hf ->
-      Dt_trace.Trace.of_task_lists ~prefix:"hf"
-        (Dt_chem.Workload.hf_trace_set ~seed ~cluster ~nbf:3000 ())
-  | `Ccsd ->
-      Dt_trace.Trace.of_task_lists ~prefix:"ccsd"
-        (Dt_chem.Workload.ccsd_trace_set ~seed ~cluster ~n_occ:29 ~n_virt:420 ())
-
-let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+open Digest_inputs
 
 (* The digest of one process: every entry of every candidate's schedule,
    in schedule order, then the winner, its makespan and OMIM. *)
@@ -48,22 +37,9 @@ let process_digest trace =
   Digest.string (Buffer.contents b)
 
 let () =
-  let expect =
-    match Array.to_list Sys.argv with
-    | [ _ ] -> None
-    | [ _; "--expect"; d ] -> Some d
-    | _ ->
-        prerr_endline "usage: schedule_digest [--expect HEX]";
-        exit 2
-  in
-  let per_process =
-    List.concat_map (fun k -> Array.to_list (Array.map process_digest (traces k))) [ `Hf; `Ccsd ]
-  in
-  let digest = Digest.to_hex (Digest.string (String.concat "" per_process)) in
-  Printf.printf "schedule digest (HF + CCSD seed 1, %d processes): %s\n" (List.length per_process)
-    digest;
-  match expect with
-  | Some d when d <> digest ->
-      Printf.printf "FAIL: expected %s\n" d;
-      exit 1
-  | Some _ | None -> ()
+  run ~usage:"schedule_digest" (fun () ->
+      let per_process =
+        List.concat_map (fun k -> Array.to_list (Array.map process_digest (traces k))) [ `Hf; `Ccsd ]
+      in
+      ( Printf.sprintf "schedule digest (HF + CCSD seed 1, %d processes)" (List.length per_process),
+        Digest.to_hex (Digest.string (String.concat "" per_process)) ))

@@ -131,6 +131,13 @@ echo "== schedule bit-identity on chemistry traces =="
 # rewrite; any change to a schedule bit shows up here.
 dune exec bench/schedule_digest.exe -- --expect e3d464d098237a73e985e6b222c589f4
 
+echo "== simulator bit-identity on chemistry traces =="
+# Every Link_sim result field for the seed-1 CCSD plans (both link
+# modes, initial and balanced placements) and every entry of the OOSCMR
+# engine drains of the seed-1 HF and CCSD sessions, hashed. The expected
+# digest was recorded before the simulators moved off the indexed heap.
+dune exec bench/sim_digest.exe -- --expect bc69b3b704e0afd0c9c8c8e6c0855a9f
+
 echo "== core complexity sweep (fast workload) =="
 EXPERIMENTS=core DTSCHED_FAST=1 dune exec bench/main.exe
 

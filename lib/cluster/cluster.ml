@@ -69,20 +69,35 @@ let run ?(capacity_factor = 1.5) ?pool ?placement ?(config = default_config) top
   let predicted_cost_initial =
     Balancer.cost topo config.cost_model summaries initial_placement
   in
-  let independent = Link_sim.run topo ~placement:initial_placement ~mode:config.mode ~orders in
   let balanced, migrations =
     Balancer.balance ?max_iters:config.max_iters ~cost_model:config.cost_model topo summaries
       config.strategy initial_placement
   in
   let predicted_cost_balanced = Balancer.cost topo config.cost_model summaries balanced in
+  let placements =
+    if migrations = 0 then [| initial_placement |] else [| initial_placement; balanced |]
+  in
+  let simulate placement = Link_sim.run topo ~placement ~mode:config.mode ~orders in
+  let sims =
+    match pool with
+    | Some pool when migrations > 0 ->
+        (* the balancer does not read the simulation, so both placements
+           run side by side; an exception surfaces in the sequential
+           order, initial placement first *)
+        Array.map
+          (function Ok r -> r | Error e -> raise e)
+          (Dt_par.Pool.parallel_map pool
+             (fun p -> match simulate p with r -> Ok r | exception e -> Error e)
+             placements)
+    | _ -> Array.map simulate placements
+  in
+  let independent = sims.(0) in
   let cooperative, placement, migrations, kept_balanced =
-    if migrations = 0 then (independent, initial_placement, 0, false)
-    else
-      let simulated = Link_sim.run topo ~placement:balanced ~mode:config.mode ~orders in
-      (* trust the simulator over the model: discard plans that lose *)
-      if simulated.Link_sim.makespan <= independent.Link_sim.makespan then
+    match sims with
+    (* trust the simulator over the model: discard plans that lose *)
+    | [| _; simulated |] when simulated.Link_sim.makespan <= independent.Link_sim.makespan ->
         (simulated, balanced, migrations, true)
-      else (independent, initial_placement, 0, false)
+    | _ -> (independent, initial_placement, 0, false)
   in
   {
     chosen;

@@ -51,7 +51,10 @@ val run :
     processes (default {!Topology.block_placement}), balances, simulates
     both placements and keeps the better one. With [?pool] the
     per-process planning fans out over the pool, one trace per claim,
-    bit-identical to the sequential run.
+    and, when the balancer migrated, the two placements are simulated
+    side by side (the balancer does not read the simulation); the
+    outcome is bit-identical to the sequential run, and an exception
+    from a simulation surfaces in the sequential order.
 
     Raises [Invalid_argument] on an empty trace set, a placement of the
     wrong length, or a trace whose largest task exceeds its node's

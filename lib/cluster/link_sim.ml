@@ -48,7 +48,8 @@ type link_state = {
   llink : int;
   queue : (int * Task.t) Queue.t; (* FCFS: waiting transfers, head in service *)
   mutable serving : bool;
-  mutable flows : flow list;      (* PS: admission order *)
+  mutable flows : flow array; (* PS: the first [nflows] are active, in admission order *)
+  mutable nflows : int;
   mutable gen : int;
   mutable epoch : float;
   mutable busy : float;
@@ -113,7 +114,8 @@ let run topo ~placement ~mode ~orders =
               llink = l;
               queue = Queue.create ();
               serving = false;
-              flows = [];
+              flows = [||];
+              nflows = 0;
               gen = 0;
               epoch = 0.0;
               busy = 0.0;
@@ -125,38 +127,51 @@ let run topo ~placement ~mode ~orders =
   in
   let seq = ref 0 in
   let events =
-    Iheap.create
+    Heap.create
       ~cmp:(fun a b ->
         match Float.compare a.time b.time with 0 -> Int.compare a.seq b.seq | c -> c)
-      ~id:(fun e -> e.seq)
       ()
   in
   let push time kind =
     incr seq;
-    Iheap.add events { time; seq = !seq; kind }
+    Heap.add events { time; seq = !seq; kind }
   in
   (* --- processor-sharing bookkeeping --------------------------------- *)
   let ps_accrue ls now =
-    (match ls.flows with
-    | [] -> ()
-    | flows ->
-        let dt = now -. ls.epoch in
-        if dt > 0.0 then begin
-          ls.busy <- ls.busy +. dt;
-          let rate = ls.bandwidth /. float_of_int (List.length flows) in
-          List.iter (fun f -> f.remaining <- Float.max 0.0 (f.remaining -. (rate *. dt))) flows
-        end);
+    if ls.nflows > 0 then begin
+      let dt = now -. ls.epoch in
+      if dt > 0.0 then begin
+        ls.busy <- ls.busy +. dt;
+        let rate = ls.bandwidth /. float_of_int ls.nflows in
+        for i = 0 to ls.nflows - 1 do
+          let f = ls.flows.(i) in
+          f.remaining <- Float.max 0.0 (f.remaining -. (rate *. dt))
+        done
+      end
+    end;
     ls.epoch <- now
   in
   let ps_rearm ls now =
     ls.gen <- ls.gen + 1;
-    match ls.flows with
-    | [] -> ()
-    | flows ->
-        let rate = ls.bandwidth /. float_of_int (List.length flows) in
-        List.iter (fun f -> f.finish <- now +. (f.remaining /. rate)) flows;
-        let next = List.fold_left (fun acc f -> Float.min acc f.finish) infinity flows in
-        push next (Flow_check (ls.lnode, ls.llink, ls.gen))
+    if ls.nflows > 0 then begin
+      let rate = ls.bandwidth /. float_of_int ls.nflows in
+      let next = ref infinity in
+      for i = 0 to ls.nflows - 1 do
+        let f = ls.flows.(i) in
+        f.finish <- now +. (f.remaining /. rate);
+        next := Float.min !next f.finish
+      done;
+      push !next (Flow_check (ls.lnode, ls.llink, ls.gen))
+    end
+  in
+  let ps_admit ls f =
+    if ls.nflows = Array.length ls.flows then begin
+      let flows = Array.make (max 4 (2 * ls.nflows)) f in
+      Array.blit ls.flows 0 flows 0 ls.nflows;
+      ls.flows <- flows
+    end;
+    ls.flows.(ls.nflows) <- f;
+    ls.nflows <- ls.nflows + 1
   in
   (* --- computations --------------------------------------------------- *)
   let maybe_start_comp u =
@@ -186,7 +201,7 @@ let run topo ~placement ~mode ~orders =
         push (now +. duration) (Transfer_end p)
     | Ps ->
         ps_accrue ls now;
-        ls.flows <- ls.flows @ [ { fp = p; ftask = task; remaining = task.Task.comm; finish = infinity } ];
+        ps_admit ls { fp = p; ftask = task; remaining = task.Task.comm; finish = infinity };
         ps_rearm ls now
   in
   let request_mem p task =
@@ -243,13 +258,21 @@ let run topo ~placement ~mode ~orders =
     let ls = links.(n).(l) in
     if gen = ls.gen then begin
       ps_accrue ls now;
-      let completed, active = List.partition (fun f -> f.finish <= now) ls.flows in
-      ls.flows <- active;
-      List.iter
-        (fun f ->
+      (* completed flows are delivered in admission order while the
+         active ones close up in place *)
+      let active = ref 0 in
+      for i = 0 to ls.nflows - 1 do
+        let f = ls.flows.(i) in
+        if f.finish <= now then begin
           data_arrived f.fp f.ftask f.finish;
-          push now (Request f.fp))
-        completed;
+          push now (Request f.fp)
+        end
+        else begin
+          ls.flows.(!active) <- f;
+          incr active
+        end
+      done;
+      ls.nflows <- !active;
       ps_rearm ls now
     end
   in
@@ -270,7 +293,7 @@ let run topo ~placement ~mode ~orders =
     push 0.0 (Request p)
   done;
   let rec loop () =
-    match Iheap.pop events with
+    match Heap.pop events with
     | None -> ()
     | Some { time; kind; _ } ->
         (match kind with

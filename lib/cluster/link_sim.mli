@@ -25,7 +25,17 @@
     degenerate one-process-per-node topology ({!Topology.private_}) both
     modes reproduce [Dt_core.Sim.run_order] bit for bit: with a single
     flow per link, rates, start instants and completion instants are
-    computed by the same floating-point expressions. *)
+    computed by the same floating-point expressions.
+
+    {b Cost.} Events sit in a plain binary heap on [(time, creation
+    number)], at most a few per process at any instant, so an event
+    costs O(log p) for [p] processes and no hashing. A processor-sharing
+    link keeps its active flows in an array in admission order; a rate
+    change (an admission or a completion) touches each of its [k] flows
+    once and leaves a stale completion check in the heap, skipped when
+    it surfaces. On the benchmark's 150-process CCSD fleet (10 nodes of
+    15 units, one link each) a run costs about 0.9 µs per task under
+    {!Fcfs} and 1.5 µs under {!Ps} on a 2-vCPU x86-64 Xeon. *)
 
 type mode =
   | Fcfs  (** link serves one transfer at a time, in request order *)

@@ -34,9 +34,9 @@ let arrival_cmp a b =
 
 (* Johnson's order over a set is (compute-intensive tasks by comm asc,
    id asc) followed by (the rest by comp desc, id asc); its head is
-   therefore the top of one of two heaps, maintained incrementally under
-   arrivals and removals instead of re-sorting the arrived suffix at
-   every decision point. *)
+   therefore the top of one of two heaps, fed at arrival instead of
+   re-sorting the arrived suffix at every decision point. A task taken
+   out of turn by a correction stays in its heap until it surfaces. *)
 let johnson1_cmp (a : Task.t) (b : Task.t) =
   let c = Float.compare a.Task.comm b.Task.comm in
   if c <> 0 then c else Task.compare_id a b
@@ -52,9 +52,10 @@ type t = {
   use_johnson : bool;
   queue_limit : int;
   st : Sim.state;
-  future : arrival_item Iheap.t; (* not yet arrived, keyed by (arrival, id) *)
-  j1 : Task.t Iheap.t; (* arrived compute-intensive tasks, (comm, id) *)
-  j2 : Task.t Iheap.t; (* arrived comm-intensive tasks, (comp desc, id) *)
+  future : arrival_item Heap.t; (* not yet arrived, keyed by (arrival, id) *)
+  waiting : (int, unit) Hashtbl.t; (* the ids in [future] *)
+  j1 : Task.t Heap.t; (* arrived compute-intensive tasks, (comm, id) *)
+  j2 : Task.t Heap.t; (* arrived comm-intensive tasks, (comp desc, id) *)
   mutable n_pending : int;
   mutable n_scheduled : int;
   mutable n_rejected : int;
@@ -70,7 +71,6 @@ let create ?(policy = Corrected Corrected_rules.OOSCMR) ?(queue_limit = 65536)
   if not (Float.is_finite capacity) then
     invalid_arg "Engine.create: capacity must be finite";
   if queue_limit <= 0 then invalid_arg "Engine.create: queue_limit must be positive";
-  let task_id (t : Task.t) = t.Task.id in
   {
     capacity;
     kcap = capacity *. (1.0 +. 1e-12);
@@ -78,9 +78,10 @@ let create ?(policy = Corrected Corrected_rules.OOSCMR) ?(queue_limit = 65536)
     use_johnson = (match policy with Corrected _ -> true | Dynamic _ -> false);
     queue_limit;
     st = Sim.initial_state ();
-    future = Iheap.create ~cmp:arrival_cmp ~id:(fun it -> it.task.Task.id) ();
-    j1 = Iheap.create ~cmp:johnson1_cmp ~id:task_id ();
-    j2 = Iheap.create ~cmp:johnson2_cmp ~id:task_id ();
+    future = Heap.create ~cmp:arrival_cmp ();
+    waiting = Hashtbl.create 64;
+    j1 = Heap.create ~cmp:johnson1_cmp ();
+    j2 = Heap.create ~cmp:johnson2_cmp ();
     n_pending = 0;
     n_scheduled = 0;
     n_rejected = 0;
@@ -109,13 +110,15 @@ let submit t ?(arrival = 0.0) (task : Task.t) =
     Rejected_queue_full t.queue_limit
   end
   else begin
-    (* the indexed structures cannot hold two live tasks with one id (the
+    (* a drain's candidate index cannot hold two tasks with one id (the
        old list code silently dropped both on removal); reject up front.
-       Between drains every pending task is in the arrival heap. *)
-    if Iheap.mem t.future task.Task.id then
+       Between drains every pending task is in the arrival heap, so
+       [waiting] holds every pending id. *)
+    if Hashtbl.mem t.waiting task.Task.id then
       invalid_arg
         (Printf.sprintf "Engine.submit: duplicate pending task id %d" task.Task.id);
-    Iheap.add t.future { arr = arrival; task };
+    Hashtbl.replace t.waiting task.Task.id ();
+    Heap.add t.future { arr = arrival; task };
     t.n_pending <- t.n_pending + 1;
     Accepted
   end
@@ -127,13 +130,14 @@ let submit t ?(arrival = 0.0) (task : Task.t) =
 let promote t cand =
   let time = Sim.link_free_time t.st in
   let rec loop () =
-    match Iheap.peek t.future with
+    match Heap.peek t.future with
     | Some it when it.arr <= time ->
-        ignore (Iheap.pop t.future);
+        ignore (Heap.pop t.future);
+        Hashtbl.remove t.waiting it.task.Task.id;
         Candidates.add cand it.task;
         if t.use_johnson then
-          if Task.is_compute_intensive it.task then Iheap.add t.j1 it.task
-          else Iheap.add t.j2 it.task;
+          if Task.is_compute_intensive it.task then Heap.add t.j1 it.task
+          else Heap.add t.j2 it.task;
         loop ()
     | _ -> ()
   in
@@ -142,13 +146,19 @@ let promote t cand =
 let take_task t cand (task : Task.t) =
   let entry = Sim.schedule_task t.st ~capacity:t.capacity task in
   Candidates.remove cand task;
-  if t.use_johnson then
-    if Task.is_compute_intensive task then Iheap.remove t.j1 task.Task.id
-    else Iheap.remove t.j2 task.Task.id;
   t.entries <- entry :: t.entries;
   t.fresh <- entry :: t.fresh;
   t.n_pending <- t.n_pending - 1;
   t.n_scheduled <- t.n_scheduled + 1
+
+(* The top of a Johnson heap once the tasks already scheduled (absent
+   from the drain's index) are popped off it. *)
+let rec johnson_head cand h =
+  match Heap.peek h with
+  | Some task when not (Candidates.mem cand task.Task.id) ->
+      ignore (Heap.pop h);
+      johnson_head cand h
+  | head -> head
 
 (* One decision point: schedule a task, or advance virtual time to the
    next event, or report starvation (nothing submitted is left). *)
@@ -156,7 +166,7 @@ let rec step t cand =
   Sim.settle t.st;
   promote t cand;
   if Candidates.size cand = 0 then
-    match Iheap.peek t.future with
+    match Heap.peek t.future with
     | None -> false
     | Some it ->
         Sim.advance_link_to t.st it.arr;
@@ -173,7 +183,7 @@ let rec step t cand =
       | Dynamic criterion -> select criterion
       | Corrected rule -> (
           let head =
-            match Iheap.peek t.j1 with Some _ as x -> x | None -> Iheap.peek t.j2
+            match johnson_head cand t.j1 with Some _ as x -> x | None -> johnson_head cand t.j2
           in
           match head with
           | Some next when fits next -> Some next
@@ -186,7 +196,7 @@ let rec step t cand =
     | None -> (
         (* nothing arrived fits: advance to the earlier of the next
            memory release and the next arrival *)
-        let next_arrival = Option.map (fun it -> it.arr) (Iheap.peek t.future) in
+        let next_arrival = Option.map (fun it -> it.arr) (Heap.peek t.future) in
         match (Sim.next_release_time t.st, next_arrival) with
         | None, None ->
             (* every arrived task fits the capacity alone, so with no
@@ -208,13 +218,17 @@ let schedule t = Schedule.make ~capacity:t.capacity (List.rev t.entries)
 
 (* The candidate index lives for one drain: it is built over every
    pending task, all absent, and [promote] marks each one present when it
-   arrives. A drain schedules everything, so nothing is left in it. *)
+   arrives. A drain schedules everything, so nothing is left in it; the
+   Johnson heaps, which may still hold scheduled tasks, are emptied so a
+   later drain cannot see a reused id. *)
 let drain t =
-  let pending = Array.of_list (List.map (fun it -> it.task) (Iheap.to_list t.future)) in
+  let pending = Array.of_list (List.map (fun it -> it.task) (Heap.to_list t.future)) in
   Candidates.with_index ~present:false pending (fun cand ->
       while step t cand do
         ()
       done);
+  Heap.clear t.j1;
+  Heap.clear t.j2;
   schedule t
 
 let take_new_entries t =

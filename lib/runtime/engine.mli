@@ -90,7 +90,15 @@ val drain : t -> Dt_core.Schedule.t
 (** Run the decision loop until every submitted task is scheduled
     (advancing virtual time through arrivals as needed) and return the
     full schedule so far. The engine stays usable: later submissions
-    continue from the drained state, as in batched scheduling. *)
+    continue from the drained state, as in batched scheduling.
+
+    The queues behind a drain are rebuilt per drain: arrived tasks enter
+    a candidate index built over the pending set and, under a
+    [Corrected] policy, two plain Johnson heaps. A task a correction
+    takes out of Johnson order stays in its heap until it reaches the
+    top and is skipped there; both heaps are emptied when the drain
+    ends, so an id reused by a later submission never meets a stale
+    copy. *)
 
 val schedule : t -> Dt_core.Schedule.t
 (** The schedule of everything scheduled so far, without draining. *)

@@ -172,6 +172,75 @@ let never_worse =
           && (o.Cluster.kept_balanced || o.Cluster.migrations = 0))
         [ Balancer.Greedy; Balancer.Diffusive ])
 
+(* --- the pool changes nothing ------------------------------------------ *)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+let float_bits = Array.map Int64.bits_of_float
+
+let same_result (a : Link_sim.result) (b : Link_sim.result) =
+  float_bits a.Link_sim.process_makespans = float_bits b.Link_sim.process_makespans
+  && same_bits a.Link_sim.makespan b.Link_sim.makespan
+  && Array.for_all2
+       (fun (n, l, x) (n', l', y) -> n = n' && l = l' && same_bits x y)
+       a.Link_sim.link_busy b.Link_sim.link_busy
+  && float_bits a.Link_sim.unit_busy = float_bits b.Link_sim.unit_busy
+  && float_bits a.Link_sim.node_peak_mem = float_bits b.Link_sim.node_peak_mem
+
+let same_outcome (a : Cluster.outcome) (b : Cluster.outcome) =
+  Array.map Dt_core.Heuristic.name a.Cluster.chosen
+  = Array.map Dt_core.Heuristic.name b.Cluster.chosen
+  && a.Cluster.initial_placement = b.Cluster.initial_placement
+  && a.Cluster.placement = b.Cluster.placement
+  && a.Cluster.migrations = b.Cluster.migrations
+  && a.Cluster.kept_balanced = b.Cluster.kept_balanced
+  && same_bits a.Cluster.predicted_cost_initial b.Cluster.predicted_cost_initial
+  && same_bits a.Cluster.predicted_cost_balanced b.Cluster.predicted_cost_balanced
+  && same_result a.Cluster.independent b.Cluster.independent
+  && same_result a.Cluster.cooperative b.Cluster.cooperative
+  && same_bits a.Cluster.application_makespan b.Cluster.application_makespan
+  && same_bits a.Cluster.independent_makespan b.Cluster.independent_makespan
+
+let pool = lazy (Dt_par.Pool.create ~num_domains:2 ())
+
+(* Every process starts on unit 0, so both balancing strategies migrate
+   as soon as there are two processes, and the two placements are
+   simulated side by side. *)
+let pool_identity =
+  prop_test ~count:100 ~name:"Cluster.run ~pool = Cluster.run, every outcome field bit for bit"
+    (fun traces ->
+      let topo = shared_topo_for traces in
+      let placement = Array.make (Array.length traces) 0 in
+      List.for_all
+        (fun (mode, strategy) ->
+          let config = { Cluster.default_config with mode; strategy } in
+          let o = Cluster.run ~placement ~config topo policy traces in
+          same_outcome o (Cluster.run ~pool:(Lazy.force pool) ~placement ~config topo policy traces))
+        (List.concat_map
+           (fun mode ->
+             List.map (fun s -> (mode, s)) [ Balancer.No_migration; Balancer.Greedy; Balancer.Diffusive ])
+           [ Link_sim.Fcfs; Link_sim.Ps ]))
+
+(* Both processes start on node 0, whose memory holds neither task; the
+   balancer moves process 0 to node 1, so the initial placement fails on
+   process 0 and the balanced one on process 1. The pooled run must
+   raise the sequential run's error, whichever simulation ends first. *)
+let pool_raises_in_order () =
+  let node mem_capacity =
+    { Topology.units = 2; links = [| { Topology.bandwidth = 1.0 } |]; unit_link = [| 0; 0 |]; mem_capacity }
+  in
+  let topo = Topology.make [| node 1.0; node 10.0 |] in
+  let traces =
+    Dt_trace.Trace.of_task_lists ~prefix:"big"
+      [| [ mk ~id:0 ~comm:3.0 ~comp:1.0 ~mem:2.0 () ]; [ mk ~id:0 ~comm:1.0 ~comp:1.0 ~mem:2.0 () ] |]
+  in
+  let config = { Cluster.default_config with strategy = Balancer.Greedy } in
+  let expected = Invalid_argument "Link_sim.run: task 0 of process 0 needs 2 > node 0 capacity 1" in
+  let run ?pool () = ignore (Cluster.run ?pool ~placement:[| 0; 0 |] ~config topo policy traces) in
+  Alcotest.check_raises "sequential" expected (fun () -> run ());
+  for _ = 1 to 20 do
+    Alcotest.check_raises "pooled" expected (fun () -> run ~pool:(Lazy.force pool) ())
+  done
+
 (* --- balancer conservation invariants --------------------------------- *)
 
 let totals summaries placement units =
@@ -285,5 +354,8 @@ let suite =
     Alcotest.test_case "placement validation" `Quick placement_validation;
     degenerate_identity;
     never_worse;
+    pool_identity;
+    Alcotest.test_case "Cluster.run ~pool raises the sequential run's error" `Quick
+      pool_raises_in_order;
     conservation;
   ]

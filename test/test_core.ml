@@ -7,7 +7,7 @@ let () =
       ("model", Test_model.suite);
       ("sim", Test_sim.suite);
       ("residency", Test_residency.suite);
-      ("iheap", Test_iheap.suite);
+      ("heap", Test_heap.suite);
       ("johnson", Test_johnson.suite);
       ("heuristics", Test_heuristics.suite);
       ("equiv", Test_equiv.suite);

@@ -2,7 +2,9 @@
    incremental implementations (Candidates index, arrival heap,
    incremental Johnson order) must produce bit-identical schedules to the
    frozen pre-rewrite copies in Dt_reference, on every policy, with and
-   without the min-idle filter, and under random arrival times. *)
+   without the min-idle filter, and under random arrival times. The
+   cluster simulator is pinned the same way against its indexed-heap,
+   list-of-flows original. *)
 
 open Dt_core
 module Engine = Dt_runtime.Engine
@@ -102,19 +104,180 @@ let duplicate_order_rejected () =
 
 let duplicate_submit_rejected () =
   let eng = Engine.create ~capacity:10.0 () in
-  (match Engine.submit eng ~arrival:0.0 (Task.make ~id:3 ~comm:1.0 ~comp:1.0 ()) with
-  | Engine.Accepted -> ()
-  | _ -> Alcotest.fail "first submission rejected");
-  Alcotest.check_raises "pending id collision"
-    (Invalid_argument "Engine.submit: duplicate pending task id 3") (fun () ->
-      ignore (Engine.submit eng ~arrival:5.0 (Task.make ~id:3 ~comm:2.0 ~comp:1.0 ())));
+  let accept ~arrival task =
+    match Engine.submit eng ~arrival task with
+    | Engine.Accepted -> ()
+    | a -> Alcotest.failf "submission rejected: %s" (Engine.admission_to_string a)
+  in
+  let collide ~arrival task =
+    Alcotest.check_raises "pending id collision"
+      (Invalid_argument "Engine.submit: duplicate pending task id 3") (fun () ->
+        ignore (Engine.submit eng ~arrival task))
+  in
+  accept ~arrival:0.0 (Task.make ~id:3 ~comm:1.0 ~comp:1.0 ());
+  collide ~arrival:5.0 (Task.make ~id:3 ~comm:2.0 ~comp:1.0 ());
   (* the failed submission left the engine untouched; after scheduling,
-     the id is free again *)
+     the id is free again, and pending again once re-submitted *)
   ignore (Engine.drain eng);
   Alcotest.(check int) "one task scheduled" 1 (Engine.scheduled eng);
-  match Engine.submit eng (Task.make ~id:3 ~comm:1.0 ~comp:1.0 ()) with
-  | Engine.Accepted -> ()
-  | _ -> Alcotest.fail "id reuse after scheduling rejected"
+  accept ~arrival:0.0 (Task.make ~id:3 ~comm:2.0 ~comp:3.0 ());
+  collide ~arrival:0.0 (Task.make ~id:3 ~comm:1.0 ~comp:1.0 ());
+  let reference = Dt_reference.Eng.create ~policy:(Engine.policy eng) ~capacity:10.0 () in
+  Dt_reference.Eng.submit reference ~arrival:0.0 (Task.make ~id:3 ~comm:1.0 ~comp:1.0 ());
+  ignore (Dt_reference.Eng.drain reference);
+  Dt_reference.Eng.submit reference ~arrival:0.0 (Task.make ~id:3 ~comm:2.0 ~comp:3.0 ());
+  Alcotest.(check bool) "second drain = reference" true
+    (same_schedule (Engine.drain eng) (Dt_reference.Eng.drain reference))
+
+(* Two drains on one engine, the second batch reusing the first batch's
+   ids with other sizes: tasks that corrections took out of Johnson
+   order in the first drain must not surface in the second. *)
+let redrain_gen =
+  QCheck2.Gen.(
+    let* first = online_gen in
+    let* second = online_gen in
+    return (first, second))
+
+let redrain_prop policy =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:
+         (Printf.sprintf "Engine %s, two drains reusing ids = reference, bit for bit"
+            (Engine.policy_name policy))
+       ~print:(fun (a, b) -> online_print a ^ " then " ^ online_print b)
+       redrain_gen
+       (fun (((i1, _) as first), ((i2, _) as second)) ->
+         let capacity = Float.max i1.Instance.capacity i2.Instance.capacity in
+         let eng = Engine.create ~policy ~capacity () in
+         let reference = Dt_reference.Eng.create ~policy ~capacity () in
+         let drain (i, arrivals) =
+           List.iter2
+             (fun task arrival ->
+               ignore (Engine.submit eng ~arrival task);
+               Dt_reference.Eng.submit reference ~arrival task)
+             (Instance.task_list i) arrivals;
+           same_schedule (Engine.drain eng) (Dt_reference.Eng.drain reference)
+         in
+         drain first && drain second))
+
+(* All four tasks are compute-intensive, so Johnson's order is A B C E
+   by comm. A fits and goes first; at t = 1 the head B does not fit
+   beside A, and the correction takes C, the only task that does. B
+   waits for every release, is taken as the head, and the head then has
+   to skip C, already scheduled, to reach E. *)
+let johnson_head_skips_corrected () =
+  let capacity = 10.0 in
+  let tasks =
+    [
+      Task.make ~id:0 ~label:"A" ~comm:1.0 ~comp:5.0 ~mem:1.0 ();
+      Task.make ~id:1 ~label:"B" ~comm:2.0 ~comp:6.0 ~mem:9.5 ();
+      Task.make ~id:2 ~label:"C" ~comm:3.0 ~comp:7.0 ~mem:1.0 ();
+      Task.make ~id:3 ~label:"E" ~comm:5.0 ~comp:9.0 ~mem:9.2 ();
+    ]
+  in
+  let eng = Engine.create ~capacity () in
+  let reference = Dt_reference.Eng.create ~policy:(Engine.policy eng) ~capacity () in
+  List.iter
+    (fun task ->
+      ignore (Engine.submit eng task);
+      Dt_reference.Eng.submit reference ~arrival:0.0 task)
+    tasks;
+  let sched = Engine.drain eng in
+  Alcotest.(check (list string)) "correction, then the head skips it" [ "A"; "C"; "B"; "E" ]
+    (List.map (fun (e : Schedule.entry) -> e.Schedule.task.Task.label) (Schedule.entries sched));
+  Alcotest.(check bool) "= reference" true (same_schedule sched (Dt_reference.Eng.drain reference))
+
+(* --- cluster simulator ------------------------------------------------ *)
+
+module Link_sim = Dt_cluster.Link_sim
+
+(* Small shared topologies: 1-3 nodes of 1-4 units on 1-2 links of
+   bandwidth 0.5, 1 or 2, node memory at most twice the largest task so
+   that processes on one node wait for each other's memory. Comm and
+   comp come from a few values, so completions often fall on the same
+   instant and the same-instant ordering is exercised. *)
+let cluster_gen =
+  QCheck2.Gen.(
+    let* nodes =
+      array_size (int_range 1 3)
+        (let* units = int_range 1 4 in
+         let* links = array_size (int_range 1 2) (oneofl [ 0.5; 1.0; 2.0 ]) in
+         let* unit_link = array_repeat units (int_bound (Array.length links - 1)) in
+         let* mem_factor = oneofl [ 1.0; 1.25; 1.5; 2.0 ] in
+         return (units, links, unit_link, mem_factor))
+    in
+    let n_units = Array.fold_left (fun acc (u, _, _, _) -> acc + u) 0 nodes in
+    let* orders =
+      array_size (int_range 1 6)
+        (let* n = int_range 0 6 in
+         list_repeat n
+           (triple (oneofl [ 0.0; 0.5; 1.0; 2.0 ]) (oneofl [ 0.0; 0.5; 1.0; 3.0 ])
+              (oneofl [ 0.5; 1.0; 2.0 ])))
+    in
+    let* placement = array_repeat (Array.length orders) (int_bound (n_units - 1)) in
+    let orders =
+      Array.map
+        (fun tasks ->
+          Array.of_list
+            (List.mapi (fun id (comm, comp, mem) -> Task.make ~id ~comm ~comp ~mem ()) tasks))
+        orders
+    in
+    let max_mem =
+      Array.fold_left
+        (Array.fold_left (fun acc (t : Task.t) -> Float.max acc t.Task.mem))
+        0.5 orders
+    in
+    let topo =
+      Dt_cluster.Topology.make
+        (Array.map
+           (fun (units, links, unit_link, mem_factor) ->
+             {
+               Dt_cluster.Topology.units;
+               links = Array.map (fun bandwidth -> { Dt_cluster.Topology.bandwidth }) links;
+               unit_link;
+               mem_capacity = mem_factor *. max_mem;
+             })
+           nodes)
+    in
+    return (topo, placement, orders))
+
+let cluster_print (topo, placement, orders) =
+  Format.asprintf "%a placement=[%s] orders=[%s]" Dt_cluster.Topology.pp topo
+    (String.concat "; " (Array.to_list (Array.map string_of_int placement)))
+    (String.concat " | "
+       (Array.to_list
+          (Array.map
+             (fun o ->
+               String.concat ", "
+                 (Array.to_list
+                    (Array.map
+                       (fun (t : Task.t) ->
+                         Printf.sprintf "(%g,%g,%g)" t.Task.comm t.Task.comp t.Task.mem)
+                       o)))
+             orders)))
+
+let bits = Array.map Int64.bits_of_float
+let link_bits = Array.map (fun (n, l, busy) -> (n, l, Int64.bits_of_float busy))
+
+let link_sim_prop mode =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:
+         (Printf.sprintf "Link_sim %s = reference on every field, bit for bit"
+            (Link_sim.mode_name mode))
+       ~print:cluster_print cluster_gen
+       (fun (topo, placement, orders) ->
+         let r = Link_sim.run topo ~placement ~mode ~orders in
+         let old_mode =
+           match mode with Link_sim.Fcfs -> Dt_reference.Link_sim.Fcfs | Ps -> Dt_reference.Link_sim.Ps
+         in
+         let o = Dt_reference.Link_sim.run topo ~placement ~mode:old_mode ~orders in
+         bits r.Link_sim.process_makespans = bits o.Dt_reference.Link_sim.process_makespans
+         && Int64.bits_of_float r.Link_sim.makespan
+            = Int64.bits_of_float o.Dt_reference.Link_sim.makespan
+         && link_bits r.Link_sim.link_busy = link_bits o.Dt_reference.Link_sim.link_busy
+         && bits r.Link_sim.unit_busy = bits o.Dt_reference.Link_sim.unit_busy
+         && bits r.Link_sim.node_peak_mem = bits o.Dt_reference.Link_sim.node_peak_mem))
 
 (* First-Fit against the frozen list scan: same bins, same members in the
    same order. Memories sit at, just below and just above the capacity,
@@ -183,11 +346,16 @@ let suite =
         Dynamic_rules.all;
       List.map corrected_prop Corrected_rules.all;
       List.map engine_prop Engine.all_policies;
+      List.map redrain_prop Engine.all_policies;
       [ reversed_replay_prop ];
       [
         Alcotest.test_case "duplicate ids in ?order raise" `Quick duplicate_order_rejected;
         Alcotest.test_case "duplicate pending id raises on submit" `Quick
           duplicate_submit_rejected;
+        Alcotest.test_case "Johnson head skips a task a correction took" `Quick
+          johnson_head_skips_corrected;
+        link_sim_prop Link_sim.Fcfs;
+        link_sim_prop Link_sim.Ps;
         bp_prop;
         Alcotest.test_case "First-Fit with one bin per task (20,000 tasks)" `Quick
           bp_one_bin_per_task;
