@@ -57,6 +57,14 @@ let sweep_point policy traces ~factor ~load =
   in
   Dt_stats.Descriptive.mean ratios
 
+(* A client's p99.9 needs this many latency samples: below it the 99.9th
+   percentile is the maximum or a neighbour of the p99 sample, so it is
+   reported as null instead. *)
+let p999_min_samples = 1000
+
+(* A worst-client p99.9 in microseconds, for the table and the JSON. *)
+let p999_us fmt = function Some p -> Printf.sprintf fmt (1e6 *. p) | None -> "null"
+
 let percentile sorted q =
   let n = Array.length sorted in
   if n = 0 then 0.0
@@ -329,7 +337,10 @@ let tcp_client_sweep ?(binary = false) ?(pipeline = 1) ~clients ~requests () =
   (* worst client percentiles: the honest tail across the whole fleet *)
   let p50 = List.fold_left (fun a (p, _, _) -> Float.max a p) 0.0 percentiles in
   let p99 = List.fold_left (fun a (_, p, _) -> Float.max a p) 0.0 percentiles in
-  let p999 = List.fold_left (fun a (_, _, p) -> Float.max a p) 0.0 percentiles in
+  let p999 =
+    if requests < p999_min_samples then None
+    else Some (List.fold_left (fun a (_, _, p) -> Float.max a p) 0.0 percentiles)
+  in
   (rps, p50, p99, p999)
 
 (* C10K-style idle-population point: hold [connections] simultaneously
@@ -523,20 +534,20 @@ let run () =
     (fun (clients, (rps, _, p99, p999)) ->
       Printf.printf
         "service loop, TCP %d concurrent client%s: %.0f req/s aggregate \
-         (worst p99 %.1f us, p99.9 %.1f us, %d requests each, forked processes)\n"
+         (worst p99 %.1f us, p99.9 %s, %d requests each, forked processes)\n"
         clients
         (if clients = 1 then " " else "s")
-        rps (1e6 *. p99) (1e6 *. p999) sweep_requests)
+        rps (1e6 *. p99) (p999_us "%.1f us" p999) sweep_requests)
     client_sweep;
   List.iter
     (fun ((clients, binary, pipeline), (rps, _, p99, p999)) ->
       Printf.printf
         "service loop, TCP %2d client%s %s pipeline=%-2d: %.0f req/s aggregate \
-         (worst p99 %.1f us, p99.9 %.1f us)\n"
+         (worst p99 %.1f us, p99.9 %s)\n"
         clients
         (if clients = 1 then " " else "s")
         (if binary then "binary" else "text  ")
-        pipeline rps (1e6 *. p99) (1e6 *. p999))
+        pipeline rps (1e6 *. p99) (p999_us "%.1f us" p999))
     mode_sweep;
   (match c10k with
   | Some (established_s, served) ->
@@ -653,14 +664,14 @@ let run () =
           Printf.fprintf oc
             "      { \"clients\": %d, \"requests_per_client\": %d, \
              \"requests_per_s\": %.1f, \"worst_p50_latency_us\": %.2f, \
-             \"worst_p99_latency_us\": %.2f, \"worst_p999_latency_us\": %.2f }%s\n"
-            clients sweep_requests rps (1e6 *. p50) (1e6 *. p99) (1e6 *. p999)
+             \"worst_p99_latency_us\": %.2f, \"worst_p999_latency_us\": %s }%s\n"
+            clients sweep_requests rps (1e6 *. p50) (1e6 *. p99) (p999_us "%.2f" p999)
             (if i = n_points - 1 then "" else ","))
         client_sweep;
       let conc_rps, _, _, _ =
         match List.assoc_opt 4 client_sweep with
         | Some point -> point
-        | None -> (0.0, 0.0, 0.0, 0.0)
+        | None -> (0.0, 0.0, 0.0, None)
       in
       Printf.fprintf oc
         "    ],\n\
@@ -685,10 +696,10 @@ let run () =
             "      { \"clients\": %d, \"mode\": \"%s\", \"pipeline\": %d, \
              \"requests_per_client\": %d, \"requests_per_s\": %.1f, \
              \"worst_p50_latency_us\": %.2f, \"worst_p99_latency_us\": %.2f, \
-             \"worst_p999_latency_us\": %.2f%s }%s\n"
+             \"worst_p999_latency_us\": %s%s }%s\n"
             clients
             (if binary then "binary" else "text")
-            pipeline sweep_requests rps (1e6 *. p50) (1e6 *. p99) (1e6 *. p999)
+            pipeline sweep_requests rps (1e6 *. p50) (1e6 *. p99) (p999_us "%.2f" p999)
             baseline_json
             (if i = n_modes - 1 then "" else ","))
         mode_sweep;

@@ -108,6 +108,70 @@ wait "$server_pid" 2>/dev/null || true
 kill "$idle2_pid" 2>/dev/null || true
 echo "server shut down cleanly with a client still connected"
 
+echo "== out of file descriptors: no busy-spin =="
+# Under a 40-fd limit, 60 idle clients exhaust the server's descriptors
+# and accept fails with EMFILE while the listen fd stays readable. The
+# server must pause accepting instead of spinning on it: over 2 s of
+# idle clients it may use at most 0.2 CPU-s (utime + stime from
+# /proc/<pid>/stat). Once the clients go away it must serve the 20-task
+# session again.
+if [ -r /proc/self/stat ]; then
+  (
+    ulimit -n 40
+    exec "$DTSCHED" serve -p 0 --port-file "$tmp/port-emfile"
+  ) >"$tmp/server-emfile.log" 2>&1 &
+  emfile_pid=$!
+  i=0
+  while [ ! -s "$tmp/port-emfile" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "FAIL: fd-limited server did not write its port file" >&2
+      kill "$emfile_pid" 2>/dev/null || true
+      exit 1
+    fi
+    sleep 0.1
+  done
+  emfile_port=$(cat "$tmp/port-emfile")
+  # one process holds the 60 connections open, silent
+  bash -c 'for i in $(seq 60); do exec {fd}<>"/dev/tcp/127.0.0.1/$1" || exit 1; done; exec sleep 30' \
+    _ "$emfile_port" &
+  holder_pid=$!
+  sleep 0.5
+  cpu_ticks() { awk '{ print $14 + $15 }' "/proc/$1/stat"; }
+  t0=$(cpu_ticks "$emfile_pid")
+  sleep 2
+  t1=$(cpu_ticks "$emfile_pid")
+  used=$(awk -v a="$t0" -v b="$t1" -v hz="$(getconf CLK_TCK)" 'BEGIN { printf "%.2f", (b - a) / hz }')
+  kill "$holder_pid" 2>/dev/null || true
+  wait "$holder_pid" 2>/dev/null || true
+  if awk -v u="$used" 'BEGIN { exit !(u > 0.2) }'; then
+    echo "FAIL: server used ${used} CPU-s in 2 s out of file descriptors (busy-spin)" >&2
+    kill "$emfile_pid" 2>/dev/null || true
+    exit 1
+  fi
+  {
+    echo "INIT 10 OOSCMR"
+    i=0
+    while [ "$i" -lt 20 ]; do
+      echo "SUBMIT t$i 1 0.5 1"
+      i=$((i + 1))
+    done
+    echo "DRAIN"
+    echo "QUIT"
+  } | "$DTSCHED" client -p "$emfile_port" >"$tmp/session-emfile.out"
+  grep -q "makespan=20.5 scheduled=20" "$tmp/session-emfile.out" || {
+    echo "FAIL: 20-task session after the idle clients left did not complete:" >&2
+    cat "$tmp/session-emfile.out" >&2
+    kill "$emfile_pid" 2>/dev/null || true
+    exit 1
+  }
+  printf 'SHUTDOWN\n' | "$DTSCHED" client -p "$emfile_port" >/dev/null
+  wait "$emfile_pid" 2>/dev/null || true
+  echo "EMFILE OK: ${used} CPU-s over 2 s with 60 idle clients under ulimit -n 40; session served after"
+else
+  echo "NOTICE: no /proc on this host; EMFILE busy-spin check skipped"
+fi
+
 echo "== benchmark correctness smoke =="
 # One-second runs of the benchmark's headline offline and service
 # workloads. They exit non-zero when any correctness check fails: the

@@ -4,7 +4,7 @@
    shares of its tiles currently resident in the unit's memory — and the
    memory fit allows on-demand eviction of unpinned tiles.
 
-   Selection mirrors [Dynamic_rules.select] expression for expression
+   Selection mirrors the flat rules' list scan expression for expression
    (including the 1e-12 idle tolerance), so on instances without tile
    annotations the whole run is bit-identical to the flat heuristics
    (QCheck-pinned in the test suite). The candidate scan is a plain list

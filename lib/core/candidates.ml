@@ -89,7 +89,7 @@ let pick_hi (comm : float array) (id : int array) a b =
     let ca = comm.(a) and cb = comm.(b) in
     if ca > cb || (ca = cb && id.(a) <= id.(b)) then a else b
 
-(* Same total preorder as Dynamic_rules.better on the MAMR key. *)
+(* The list scan's total preorder on the MAMR key. *)
 let better (acc : float array) (id : int array) a b =
   let xa = acc.(a) and xb = acc.(b) in
   xa > xb || (xa = xb && id.(a) < id.(b))
@@ -109,8 +109,9 @@ let fix_comm ws i =
   let a = ws.mm.(l) and b = ws.mm.(l + 1) in
   ws.mm.(i) <- (if a <= b then a else b)
 
-(* Set or clear a slot's two leaves, then refresh both root paths. *)
-let set_leaves ws size s present =
+(* Set or clear a slot's two leaves, then refresh both root paths unless
+   a whole build refreshes every node afterwards. *)
+let set_leaves ?(paths = true) ws size s present =
   let v = if present then s else -1 in
   let m = size + ws.mpos.(s) and c = size + ws.cpos.(s) in
   ws.lo.(m) <- v;
@@ -118,21 +119,29 @@ let set_leaves ws size s present =
   ws.bm.(m) <- v;
   ws.bc.(c) <- v;
   ws.mm.(c) <- (if present then ws.mem.(s) else Float.infinity);
-  let i = ref (m lsr 1) in
-  while !i >= 1 do
-    fix_mem ws !i;
-    i := !i lsr 1
-  done;
-  let i = ref (c lsr 1) in
-  while !i >= 1 do
-    fix_comm ws !i;
-    i := !i lsr 1
-  done
+  if paths then begin
+    let i = ref (m lsr 1) in
+    while !i >= 1 do
+      fix_mem ws !i;
+      i := !i lsr 1
+    done;
+    let i = ref (c lsr 1) in
+    while !i >= 1 do
+      fix_comm ws !i;
+      i := !i lsr 1
+    done
+  end
 
-(* Bottom-up merge sort of a.(0..n-1) under the strict order [lt], with
-   scratch [b]. *)
-let sort_slots lt (a : int array) b n =
-  let src = ref a and dst = ref b and w = ref 1 in
+(* Bottom-up merge sort of a.(0..n-1) by the slots' (key, id), with
+   scratch [b] and no closure call per comparison. Input already in
+   order (ids numbered in slot order, the common case) costs one pass. *)
+let sort_slots (key : float array) (id : int array) (a : int array) b n =
+  let[@inline] lt x y = key.(x) < key.(y) || (key.(x) = key.(y) && id.(x) < id.(y)) in
+  let sorted = ref 1 in
+  while !sorted < n && not (lt a.(!sorted) a.(!sorted - 1)) do
+    incr sorted
+  done;
+  let src = ref a and dst = ref b and w = ref (if !sorted >= n then n else 1) in
   while !w < n do
     let s = !src and d = !dst in
     let lo = ref 0 in
@@ -161,22 +170,21 @@ let duplicate id = invalid_arg (Printf.sprintf "Candidates.add: duplicate task i
 
 (* Sort the slots by (key, id) into ws.perm. *)
 let sort_by ws (key : float array) n =
-  let id = ws.id in
   for s = 0 to n - 1 do
     ws.perm.(s) <- s
   done;
-  sort_slots
-    (fun a b -> key.(a) < key.(b) || (key.(a) = key.(b) && id.(a) < id.(b)))
-    ws.perm ws.tmp n
+  sort_slots key ws.id ws.perm ws.tmp n
 
-(* Sort the slots by id into ws.by_id, for binary search. Raises on a
-   duplicate id. *)
+(* Sort the slots by id into ws.by_id, for binary search: by (0., id),
+   with [csorted], refilled after the comm sort, as the zero key. Raises
+   on a duplicate id. *)
 let index_ids ws n =
   let id = ws.id and by_id = ws.by_id in
   for s = 0 to n - 1 do
     by_id.(s) <- s
   done;
-  sort_slots (fun a b -> id.(a) < id.(b)) by_id ws.tmp n;
+  Array.fill ws.csorted 0 n 0.0;
+  sort_slots ws.csorted id by_id ws.tmp n;
   for k = 1 to n - 1 do
     if id.(by_id.(k)) = id.(by_id.(k - 1)) then duplicate id.(by_id.(k))
   done
@@ -240,23 +248,21 @@ let build (home : home) present tasks =
   Array.fill ws.bm 1 (2 * size - 1) (-1);
   Array.fill ws.bc 1 (2 * size - 1) (-1);
   Array.fill ws.mm 1 (2 * size - 1) Float.infinity;
-  if present then begin
-    for s = 0 to n - 1 do
-      let m = size + ws.mpos.(s) and c = size + ws.cpos.(s) in
-      ws.lo.(m) <- s;
-      ws.hi.(m) <- s;
-      ws.bm.(m) <- s;
-      ws.bc.(c) <- s;
-      ws.mm.(c) <- ws.mem.(s)
-    done;
+  (* the present prefix's leaves, then every node once, bottom-up *)
+  for s = 0 to present - 1 do
+    set_leaves ~paths:false ws size s true
+  done;
+  if present > 0 then
     for i = size - 1 downto 1 do
       fix_mem ws i;
       fix_comm ws i
-    done
-  end;
-  { home; gen = home.gen; ws; tasks; n; size; count = (if present then n else 0) }
+    done;
+  { home; gen = home.gen; ws; tasks; n; size; count = present }
 
-let with_index ?(present = true) tasks f =
+let with_index ?present tasks f =
+  let n = Array.length tasks in
+  let present = Option.value present ~default:n in
+  if present < 0 || present > n then invalid_arg "Candidates.with_index: present out of range";
   let home = Domain.DLS.get key in
   Fun.protect
     ~finally:(fun () -> home.gen <- home.gen + 1)
@@ -388,7 +394,7 @@ let select ?(min_idle_filter = true) t crit ~used ~kcap ~cpu_free ~now =
              time, hence always eligible *)
           !lo
       | Lcmr | Mamr ->
-          (* the exact expressions of Dynamic_rules.select, so that the
+          (* the exact expressions of the list scan, so that the
              1e-12 idle tolerance resolves bit-identically; idle time is
              monotone in comm, so if the largest fitting comm is eligible
              every fitting task is, and otherwise the eligible tasks are

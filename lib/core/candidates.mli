@@ -9,8 +9,9 @@
     allocates nothing per add, remove or search:
 
     - an index is built over a {e fixed} task array: the instance for
-      the offline loops, the pending set for one engine drain. A task is
-      then only marked present or absent; its slot never moves;
+      the offline loops, the arrival-sorted pending set for one engine
+      drain. A task is then only marked present or absent; its slot
+      never moves;
     - two array segment trees sit over the slots, one in [(mem, id)]
       order holding the SCMR, LCMR and MAMR winners of each subtree as
       int slots, one in [(comm, id)] order holding the MAMR winner and
@@ -35,9 +36,9 @@
       fitting task of that comm group; MAMR runs a pruned search of the
       eligible region.
 
-    Every comparison uses the exact float expressions of
-    {!Dynamic_rules.select} and {!Sim.fits_now}, so selections are
-    bit-identical to the original list scans (property-tested).
+    Every comparison uses the exact float expressions of the original
+    list scan and of {!Sim.fits_now}, so selections are bit-identical to
+    the list scan (property-tested).
 
     {b Lifetime.} The arrays live in a per-domain workspace that every
     index built on that domain reuses, grown to the largest task count
@@ -70,15 +71,15 @@ type t
     cannot be used here without a dependency cycle). *)
 type crit = Lcmr | Scmr | Mamr
 
-val with_index : ?present:bool -> Task.t array -> (t -> 'a) -> 'a
-(** [with_index tasks f] builds an index over [tasks] in O(n log n), or
-    O(n) when the last build on this domain had the same keys (see
-    {b Reuse} above), every task present ([present], the default) or
-    absent, and returns
-    [f index]. The index must not escape [f], and [f] must not build
-    another index while it still uses this one. Raises
-    [Invalid_argument "Candidates.add: duplicate task id <id>"] when two
-    tasks share an id. *)
+val with_index : ?present:int -> Task.t array -> (t -> 'a) -> 'a
+(** [with_index ~present:k tasks f] builds an index over [tasks] with
+    the slots [0 .. k-1] present ([k] defaults to all) and returns
+    [f index]: O(n log n), or O(n) when the last build on this domain had
+    the same keys (see {b Reuse} above). The index must not escape [f],
+    and [f] must not build another index while it still uses this one.
+    Raises [Invalid_argument "Candidates.add: duplicate task id <id>"]
+    when two tasks share an id, and [Invalid_argument] when [k] is
+    outside [[0, n]]. *)
 
 val size : t -> int
 (** Number of present tasks. *)
@@ -106,10 +107,13 @@ val select :
   cpu_free:float ->
   now:float ->
   Task.t option
-(** The task {!Dynamic_rules.select} would return on the present tasks
-    that fit under [used +. mem <= kcap] (with [kcap] the
+(** Among the present tasks that fit under [used +. mem <= kcap], those
+    whose idle time [max 0 (now + comm - cpu_free)] is within [1e-12] of
+    the minimum (all of them with [min_idle_filter] off), then the
+    criterion's best: largest comm (LCMR), smallest comm (SCMR) or
+    largest acceleration (MAMR), ties to the smaller id. [kcap] is the
     tolerance-adjusted capacity [capacity *. (1. +. 1e-12)], precomputed
     by the caller so the test is the exact expression of
-    {!Sim.fits_now}). O(log n) when the minimum-idle filter does not bind
+    {!Sim.fits_now}. O(log n) when the minimum-idle filter does not bind
     (always, for SCMR and with the filter off). [None] iff no task
     fits. *)

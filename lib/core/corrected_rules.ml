@@ -44,25 +44,16 @@ let run ?state ?order rule instance =
   Candidates.with_index indexed (fun idx ->
       let head = ref 0 in
       let entries = ref [] in
-      let take (t : Task.t) =
-        entries := Sim.schedule_task st ~capacity t :: !entries;
-        Candidates.remove idx t
-      in
       while Candidates.size idx > 0 do
         while not (Candidates.mem idx arr.(!head).Task.id) do
           incr head
         done;
-        let next = arr.(!head) in
-        Sim.settle st;
-        if Sim.memory_in_use st +. next.Task.mem <= kcap then take next
-        else
-          match
-            Candidates.select idx crit ~used:(Sim.memory_in_use st) ~kcap
-              ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
-          with
-          | Some t -> take t
-          | None ->
-              let advanced = Sim.advance_to_next_release st in
-              assert advanced
+        match Dynamic_rules.decide st idx ~kcap crit (Some arr.(!head)) with
+        | Some t ->
+            entries := Sim.schedule_task st ~capacity t :: !entries;
+            Candidates.remove idx t
+        | None ->
+            let advanced = Sim.advance_to_next_release st in
+            assert advanced
       done;
       Schedule.make ~capacity (List.rev !entries))

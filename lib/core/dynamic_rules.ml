@@ -10,49 +10,26 @@ let name = function
   | SCMR -> "SCMR"
   | MAMR -> "MAMR"
 
-(* Larger score wins; ties by smaller id. *)
-let score = function
-  | LCMR -> fun t -> t.Task.comm
-  | SCMR -> fun t -> -.t.Task.comm
-  | MAMR -> Task.acceleration
-
-let better key a b =
-  let c = Float.compare (key a) (key b) in
-  if c > 0 then true else if c < 0 then false else Task.compare_id a b < 0
-
-let select ?(min_idle_filter = true) criterion ~cpu_free ~now candidates =
-  let idle t = Float.max 0.0 (now +. t.Task.comm -. cpu_free) in
-  match candidates with
-  | [] -> None
-  | first :: _ ->
-      let eligible =
-        if not min_idle_filter then candidates
-        else begin
-          let min_idle =
-            List.fold_left (fun acc t -> Float.min acc (idle t)) (idle first) candidates
-          in
-          List.filter (fun t -> idle t <= min_idle +. 1e-12) candidates
-        end
-      in
-      let key = score criterion in
-      let best = function
-        | [] -> None
-        | t :: rest -> Some (List.fold_left (fun a b -> if better key b a then b else a) t rest)
-      in
-      best eligible
-
 let crit_of = function
   | LCMR -> Candidates.Lcmr
   | SCMR -> Candidates.Scmr
   | MAMR -> Candidates.Mamr
 
+let decide ?min_idle_filter st idx ~kcap crit head =
+  Sim.settle st;
+  let used = Sim.memory_in_use st in
+  match head with
+  | Some (next : Task.t) when used +. next.Task.mem <= kcap -> head
+  | _ ->
+      Candidates.select ?min_idle_filter idx crit ~used ~kcap
+        ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
+
 (* The decision loop keeps the instance in a Candidates index built once
    per run (flat segment trees over the task slots), so each step costs
    O(log n), with no allocation in the index, instead of re-filtering and
    re-scanning the remaining list: O(n log n) per run where the list
-   version was O(n²). Selections are bit-identical to [select] on the
-   filtered list (property-tested against the frozen reference in the
-   test suite). *)
+   version was O(n²). Selections are bit-identical to the list scan
+   (property-tested against the frozen reference in the test suite). *)
 let run ?state ?min_idle_filter criterion instance =
   let capacity = instance.Instance.capacity in
   let st = match state with Some s -> s | None -> Sim.initial_state () in
@@ -69,11 +46,7 @@ let run ?state ?min_idle_filter criterion instance =
   Candidates.with_index tasks (fun idx ->
       let entries = ref [] in
       while Candidates.size idx > 0 do
-        Sim.settle st;
-        match
-          Candidates.select ?min_idle_filter idx crit ~used:(Sim.memory_in_use st) ~kcap
-            ~cpu_free:(Sim.cpu_free_time st) ~now:(Sim.link_free_time st)
-        with
+        match decide ?min_idle_filter st idx ~kcap crit None with
         | Some t ->
             entries := Sim.schedule_task st ~capacity t :: !entries;
             Candidates.remove idx t

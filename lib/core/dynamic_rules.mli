@@ -20,17 +20,19 @@ val crit_of : criterion -> Candidates.crit
     this one, so it cannot name [criterion] itself). Used by every
     decision loop built on the incremental candidate index. *)
 
-val select :
+val decide :
   ?min_idle_filter:bool ->
-  criterion ->
-  cpu_free:float ->
-  now:float ->
-  Task.t list ->
+  Sim.state ->
+  Candidates.t ->
+  kcap:float ->
+  Candidates.crit ->
+  Task.t option ->
   Task.t option
-(** Selection among candidate tasks already known to fit in memory:
-    first keep the tasks whose communication, started at [now], induces
-    the least idle time [max 0 (now + comm - cpu_free)] on the processing
-    unit, then apply the criterion (ties by task id). Exposed for tests. *)
+(** One decision point of every dynamic loop, offline and online: after
+    {!Sim.settle}, the Johnson [head] of a corrected rule if given and it
+    fits under [used +. mem <= kcap], else [crit]'s pick among the
+    present tasks of the index that fit ({!Candidates.select}). [None]
+    when nothing fits: the caller advances time and asks again. *)
 
 val run : ?state:Sim.state -> ?min_idle_filter:bool -> criterion -> Instance.t -> Schedule.t
 (** Raises [Invalid_argument] if a task alone exceeds the capacity.

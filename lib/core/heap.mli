@@ -1,10 +1,9 @@
 (** Plain binary min-heaps.
 
-    The event queue of the cluster simulator and the arrival and Johnson
-    queues of the online engine only ever add elements and consume the
-    minimum, so they need no index from elements to heap slots: an
-    element that must leave early stays in the heap and its owner skips
-    it when it surfaces (lazy deletion). [add] and [pop] are O(log n)
+    The event queue of the cluster simulator only ever adds elements and
+    consumes the minimum, so it needs no index from elements to heap
+    slots: an element that must leave early stays in the heap and its
+    owner skips it when it surfaces (lazy deletion). [add] and [pop] are O(log n)
     and allocate nothing but the array's doublings and the options that
     [peek] and [pop] return.
 

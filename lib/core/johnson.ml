@@ -1,14 +1,13 @@
-let order tasks =
-  let s1, s2 = List.partition Task.is_compute_intensive tasks in
-  let by_comm a b =
-    let c = Float.compare a.Task.comm b.Task.comm in
-    if c <> 0 then c else Task.compare_id a b
-  in
-  let by_comp_desc a b =
-    let c = Float.compare b.Task.comp a.Task.comp in
-    if c <> 0 then c else Task.compare_id a b
-  in
-  List.sort by_comm s1 @ List.sort by_comp_desc s2
+(* [<] agrees with Float.compare on task times, which are never NaN. *)
+let compare (a : Task.t) (b : Task.t) =
+  let ia = Task.is_compute_intensive a in
+  if ia <> Task.is_compute_intensive b then if ia then -1 else 1
+  else
+    let ka = if ia then a.Task.comm else -.a.Task.comp
+    and kb = if ia then b.Task.comm else -.b.Task.comp in
+    if ka < kb then -1 else if kb < ka then 1 else Task.compare_id a b
+
+let order tasks = List.stable_sort compare tasks
 
 let omim_schedule tasks = Sim.run_order_exn ~capacity:Float.infinity (order tasks)
 

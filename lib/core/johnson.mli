@@ -6,10 +6,13 @@
     memory}), is the lower bound against which every heuristic is measured
     (ratio [r = makespan / OMIM >= 1]). *)
 
+val compare : Task.t -> Task.t -> int
+(** Johnson's order: compute-intensive tasks ([comp >= comm]) first, by
+    nondecreasing communication time, then the others by nonincreasing
+    computation time; ties by task id. *)
+
 val order : Task.t list -> Task.t list
-(** Compute-intensive tasks ([comp >= comm]) by nondecreasing communication
-    time, followed by the remaining tasks by nonincreasing computation
-    time. Ties broken by task id, making the order deterministic. *)
+(** The tasks sorted by {!compare}. *)
 
 val omim : Task.t list -> float
 (** Makespan of {!order} executed without any memory constraint, computed

@@ -21,14 +21,15 @@ let compare_entries a b =
    the producers that interleave (dual orders, LP, batches, DAGs, ties
    between zero-length tasks). The order is total, so either way the
    result is the same array. *)
-let make ~capacity entries =
-  let entries = Array.of_list entries in
+let of_array ~capacity entries =
   let i = ref 1 and n = Array.length entries in
   while !i < n && compare_entries entries.(!i - 1) entries.(!i) <= 0 do
     incr i
   done;
   if !i < n then Array.sort compare_entries entries;
   { entries; capacity }
+
+let make ~capacity entries = of_array ~capacity (Array.of_list entries)
 
 let entries t = Array.to_list t.entries
 

@@ -18,6 +18,9 @@ val make : capacity:float -> entry list -> t
     in that order, as every sequential executor emits them; O(n log n)
     otherwise. Does not validate; see {!check}. *)
 
+val of_array : capacity:float -> entry array -> t
+(** {!make} on an array, which the schedule then owns. *)
+
 val entries : t -> entry list
 val size : t -> int
 

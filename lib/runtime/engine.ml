@@ -26,41 +26,87 @@ let admission_to_string = function
   | Rejected_queue_full n -> Printf.sprintf "queue full (limit %d)" n
   | Rejected_too_big c -> Printf.sprintf "task exceeds capacity %g" c
 
-type arrival_item = { arr : float; task : Task.t }
+(* The Johnson head of a drain. Its n tasks are sorted once into
+   Johnson's order. While some are still to arrive, the arrived,
+   unscheduled ones are marked in a min-tree over their ranks: leaf n + r
+   holds r while rank r is marked and [max_int] otherwise, node i holds
+   the min of nodes 2i and 2i + 1, so the root, node 1, is the head's
+   rank. A task a correction took stays marked until it reaches the
+   root, where [head] finds it absent from the index and clears it. After
+   the last arrival the head only moves forward: a cursor from the root
+   skips the absent tasks, as the offline rules do. *)
+type johnson = { by_rank : Task.t array; node : int array; mutable cursor : int }
 
-let arrival_cmp a b =
-  let c = Float.compare a.arr b.arr in
-  if c <> 0 then c else Task.compare_id a.task b.task
+let set_rank j r v =
+  let i = ref ((Array.length j.node / 2) + r) in
+  j.node.(!i) <- v;
+  while !i > 1 do
+    i := !i lsr 1;
+    j.node.(!i) <- Int.min j.node.(2 * !i) j.node.((2 * !i) + 1)
+  done
 
-(* Johnson's order over a set is (compute-intensive tasks by comm asc,
-   id asc) followed by (the rest by comp desc, id asc); its head is
-   therefore the top of one of two heaps, fed at arrival instead of
-   re-sorting the arrived suffix at every decision point. A task taken
-   out of turn by a correction stays in its heap until it surfaces. *)
-let johnson1_cmp (a : Task.t) (b : Task.t) =
-  let c = Float.compare a.Task.comm b.Task.comm in
-  if c <> 0 then c else Task.compare_id a b
+(* Mark an arriving task, found by binary search in Johnson's order (a
+   total order on the drain's distinct ids); the last arrival hands over
+   to the cursor. *)
+let arrive j task ~last =
+  let lo = ref 0 and hi = ref (Array.length j.by_rank) in
+  while !lo < !hi do
+    let m = (!lo + !hi) lsr 1 in
+    if Johnson.compare j.by_rank.(m) task < 0 then lo := m + 1 else hi := m
+  done;
+  set_rank j !lo !lo;
+  if last then j.cursor <- j.node.(1)
 
-let johnson2_cmp (a : Task.t) (b : Task.t) =
-  let c = Float.compare b.Task.comp a.Task.comp in
-  if c <> 0 then c else Task.compare_id a b
+(* The head over a drain's tasks of which the first [k] have arrived:
+   the cursor at once when all have, else the tree with those k marked. *)
+let johnson_head tasks k =
+  let n = Array.length tasks in
+  let by_rank = Array.copy tasks in
+  Array.stable_sort Johnson.compare by_rank;
+  if k = n then { by_rank; node = [||]; cursor = 0 }
+  else begin
+    let j = { by_rank; node = Array.make (2 * n) max_int; cursor = -1 } in
+    for s = 0 to k - 1 do
+      arrive j tasks.(s) ~last:false
+    done;
+    j
+  end
+
+(* The head, while some arrived task is unscheduled. *)
+let rec head j cand =
+  if j.cursor >= 0 then begin
+    while not (Candidates.mem cand j.by_rank.(j.cursor).Task.id) do
+      j.cursor <- j.cursor + 1
+    done;
+    j.by_rank.(j.cursor)
+  end
+  else
+    let task = j.by_rank.(j.node.(1)) in
+    if Candidates.mem cand task.Task.id then task
+    else begin
+      set_rank j j.node.(1) max_int;
+      head j cand
+    end
+
+(* Fillers for the unused tails of the growable arrays. *)
+let no_task = Task.make ~id:(-1) ~comm:0.0 ~comp:0.0 ()
+let no_entry = { Schedule.task = no_task; s_comm = 0.0; s_comp = 0.0 }
 
 type t = {
   capacity : float;
   kcap : float; (* capacity *. (1. +. 1e-12), the Sim.fits_now bound *)
   policy : policy;
-  use_johnson : bool;
+  crit : Candidates.crit;
   queue_limit : int;
   st : Sim.state;
-  future : arrival_item Heap.t; (* not yet arrived, keyed by (arrival, id) *)
-  waiting : (int, unit) Hashtbl.t; (* the ids in [future] *)
-  j1 : Task.t Heap.t; (* arrived compute-intensive tasks, (comm, id) *)
-  j2 : Task.t Heap.t; (* arrived comm-intensive tasks, (comp desc, id) *)
+  waiting : (int, unit) Hashtbl.t; (* the pending ids *)
+  mutable p_task : Task.t array; (* the pending tasks, in submission order *)
+  mutable p_arr : float array; (* their arrivals *)
   mutable n_pending : int;
-  mutable n_scheduled : int;
   mutable n_rejected : int;
-  mutable entries : Schedule.entry list; (* scheduled so far, reversed *)
-  mutable fresh : Schedule.entry list; (* since the last take, reversed *)
+  mutable entries : Schedule.entry array; (* in scheduling order *)
+  mutable n_scheduled : int;
+  mutable taken : int; (* entries already returned by take_new_entries *)
 }
 
 let create ?(policy = Corrected Corrected_rules.OOSCMR) ?(queue_limit = 65536)
@@ -71,22 +117,22 @@ let create ?(policy = Corrected Corrected_rules.OOSCMR) ?(queue_limit = 65536)
   if not (Float.is_finite capacity) then
     invalid_arg "Engine.create: capacity must be finite";
   if queue_limit <= 0 then invalid_arg "Engine.create: queue_limit must be positive";
+  let criterion = match policy with Dynamic c -> c | Corrected r -> Corrected_rules.criterion r in
   {
     capacity;
     kcap = capacity *. (1.0 +. 1e-12);
     policy;
-    use_johnson = (match policy with Corrected _ -> true | Dynamic _ -> false);
+    crit = Dynamic_rules.crit_of criterion;
     queue_limit;
     st = Sim.initial_state ();
-    future = Heap.create ~cmp:arrival_cmp ();
     waiting = Hashtbl.create 64;
-    j1 = Heap.create ~cmp:johnson1_cmp ();
-    j2 = Heap.create ~cmp:johnson2_cmp ();
+    p_task = [||];
+    p_arr = [||];
     n_pending = 0;
-    n_scheduled = 0;
     n_rejected = 0;
-    entries = [];
-    fresh = [];
+    entries = [||];
+    n_scheduled = 0;
+    taken = 0;
   }
 
 let capacity t = t.capacity
@@ -96,12 +142,17 @@ let pending t = t.n_pending
 let scheduled t = t.n_scheduled
 let rejected t = t.n_rejected
 let now t = Sim.link_free_time t.st
-let makespan t = if t.entries = [] then 0.0 else Sim.cpu_free_time t.st
+let makespan t = if t.n_scheduled = 0 then 0.0 else Sim.cpu_free_time t.st
+
+(* [a] with room for [need] elements, at least doubled when it grows. *)
+let room a need fill =
+  if need <= Array.length a then a
+  else Array.append a (Array.make (max need (2 * Array.length a) - Array.length a) fill)
 
 let submit t ?(arrival = 0.0) (task : Task.t) =
   if Float.is_nan arrival || arrival < 0.0 || arrival = Float.infinity then
     invalid_arg "Engine.submit: arrival must be finite and non-negative";
-  if task.Task.mem > t.capacity *. (1.0 +. 1e-12) then begin
+  if task.Task.mem > t.kcap then begin
     t.n_rejected <- t.n_rejected + 1;
     Rejected_too_big t.capacity
   end
@@ -111,127 +162,92 @@ let submit t ?(arrival = 0.0) (task : Task.t) =
   end
   else begin
     (* a drain's candidate index cannot hold two tasks with one id (the
-       old list code silently dropped both on removal); reject up front.
-       Between drains every pending task is in the arrival heap, so
-       [waiting] holds every pending id. *)
+       old list code silently dropped both on removal); reject up front *)
     if Hashtbl.mem t.waiting task.Task.id then
       invalid_arg
         (Printf.sprintf "Engine.submit: duplicate pending task id %d" task.Task.id);
     Hashtbl.replace t.waiting task.Task.id ();
-    Heap.add t.future { arr = arrival; task };
-    t.n_pending <- t.n_pending + 1;
+    let n = t.n_pending in
+    t.p_task <- room t.p_task (n + 1) no_task;
+    t.p_arr <- room t.p_arr (n + 1) 0.0;
+    t.p_task.(n) <- task;
+    t.p_arr.(n) <- arrival;
+    t.n_pending <- n + 1;
     Accepted
   end
 
-(* Move every task whose arrival has been reached into the arrived
-   structures: the drain's candidate index and, under a Corrected policy,
-   the Johnson head heaps. O(log n) per arrival instead of a list
-   append. *)
-let promote t cand =
-  let time = Sim.link_free_time t.st in
-  let rec loop () =
-    match Heap.peek t.future with
-    | Some it when it.arr <= time ->
-        ignore (Heap.pop t.future);
-        Hashtbl.remove t.waiting it.task.Task.id;
-        Candidates.add cand it.task;
-        if t.use_johnson then
-          if Task.is_compute_intensive it.task then Heap.add t.j1 it.task
-          else Heap.add t.j2 it.task;
-        loop ()
-    | _ -> ()
-  in
-  loop ()
-
-let take_task t cand (task : Task.t) =
-  let entry = Sim.schedule_task t.st ~capacity:t.capacity task in
-  Candidates.remove cand task;
-  t.entries <- entry :: t.entries;
-  t.fresh <- entry :: t.fresh;
-  t.n_pending <- t.n_pending - 1;
-  t.n_scheduled <- t.n_scheduled + 1
-
-(* The top of a Johnson heap once the tasks already scheduled (absent
-   from the drain's index) are popped off it. *)
-let rec johnson_head cand h =
-  match Heap.peek h with
-  | Some task when not (Candidates.mem cand task.Task.id) ->
-      ignore (Heap.pop h);
-      johnson_head cand h
-  | head -> head
-
-(* One decision point: schedule a task, or advance virtual time to the
-   next event, or report starvation (nothing submitted is left). *)
-let rec step t cand =
-  Sim.settle t.st;
-  promote t cand;
-  if Candidates.size cand = 0 then
-    match Heap.peek t.future with
-    | None -> false
-    | Some it ->
-        Sim.advance_link_to t.st it.arr;
-        step t cand
+(* The pending tasks and their arrivals, with the [k] that have arrived
+   at [time] first: sorted by (arrival, id), unless all have (the
+   arrivals are then never read). *)
+let arrival_order t time =
+  let n = t.n_pending and task = t.p_task and arr = t.p_arr in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if arr.(i) <= time then incr k
+  done;
+  if !k = n then (Array.sub task 0 n, arr, n)
   else begin
-    let fits (task : Task.t) = Sim.memory_in_use t.st +. task.Task.mem <= t.kcap in
-    let select criterion =
-      Candidates.select cand (Dynamic_rules.crit_of criterion)
-        ~used:(Sim.memory_in_use t.st) ~kcap:t.kcap
-        ~cpu_free:(Sim.cpu_free_time t.st) ~now:(Sim.link_free_time t.st)
-    in
-    let choice =
-      match t.policy with
-      | Dynamic criterion -> select criterion
-      | Corrected rule -> (
-          let head =
-            match johnson_head cand t.j1 with Some _ as x -> x | None -> johnson_head cand t.j2
-          in
-          match head with
-          | Some next when fits next -> Some next
-          | _ -> select (Corrected_rules.criterion rule))
-    in
-    match choice with
-    | Some task ->
-        take_task t cand task;
-        true
-    | None -> (
-        (* nothing arrived fits: advance to the earlier of the next
-           memory release and the next arrival *)
-        let next_arrival = Option.map (fun it -> it.arr) (Heap.peek t.future) in
-        match (Sim.next_release_time t.st, next_arrival) with
-        | None, None ->
-            (* every arrived task fits the capacity alone, so with no
-               memory held something must fit *)
-            assert false
-        | Some r, Some a when a < r ->
-            Sim.advance_link_to t.st a;
-            step t cand
-        | Some _, _ ->
-            let advanced = Sim.advance_to_next_release t.st in
-            assert advanced;
-            step t cand
-        | None, Some a ->
-            Sim.advance_link_to t.st a;
-            step t cand)
+    let order = Array.init n Fun.id in
+    Array.stable_sort
+      (fun i j ->
+        let c = Float.compare arr.(i) arr.(j) in
+        if c <> 0 then c else Task.compare_id task.(i) task.(j))
+      order;
+    (Array.map (Array.get task) order, Array.map (Array.get arr) order, !k)
   end
 
-let schedule t = Schedule.make ~capacity:t.capacity (List.rev t.entries)
+let take t cand (task : Task.t) =
+  let entry = Sim.schedule_task t.st ~capacity:t.capacity task in
+  Candidates.remove cand task;
+  t.entries.(t.n_scheduled) <- entry;
+  t.n_scheduled <- t.n_scheduled + 1
 
-(* The candidate index lives for one drain: it is built over every
-   pending task, all absent, and [promote] marks each one present when it
-   arrives. A drain schedules everything, so nothing is left in it; the
-   Johnson heaps, which may still hold scheduled tasks, are emptied so a
-   later drain cannot see a reused id. *)
+(* A drain is the offline decision loop over the arrived prefix of the
+   pending set: the candidate index and the Johnson head start with the
+   tasks already arrived, a cursor over the rest adds each one as virtual
+   time reaches it, and every decision is [Dynamic_rules.decide]'s. With
+   nothing arrived the link waits for the next arrival; with nothing
+   fitting, for the earlier of the next release and the next arrival. *)
+let schedule_pending t =
+  let n = t.n_pending in
+  if n > 0 then begin
+    let tasks, arr, k = arrival_order t (Sim.link_free_time t.st) in
+    t.n_pending <- 0;
+    Hashtbl.clear t.waiting;
+    t.entries <- room t.entries (t.n_scheduled + n) no_entry;
+    Candidates.with_index ~present:k tasks (fun cand ->
+        let j = match t.policy with Corrected _ -> Some (johnson_head tasks k) | Dynamic _ -> None in
+        let next = ref k in
+        while !next < n || Candidates.size cand > 0 do
+          while !next < n && arr.(!next) <= Sim.link_free_time t.st do
+            Candidates.add cand tasks.(!next);
+            (match j with Some j -> arrive j tasks.(!next) ~last:(!next = n - 1) | None -> ());
+            incr next
+          done;
+          if Candidates.size cand = 0 then Sim.advance_link_to t.st arr.(!next)
+          else
+            let h = match j with Some j -> Some (head j cand) | None -> None in
+            match Dynamic_rules.decide t.st cand ~kcap:t.kcap t.crit h with
+            | Some task -> take t cand task
+            | None -> (
+                match Sim.next_release_time t.st with
+                | Some r when not (!next < n && arr.(!next) < r) ->
+                    ignore (Sim.advance_to_next_release t.st)
+                | _ ->
+                    (* every arrived task fits the capacity alone, so
+                       with no memory held something must fit *)
+                    assert (!next < n);
+                    Sim.advance_link_to t.st arr.(!next))
+        done)
+  end
+
+let schedule t = Schedule.of_array ~capacity:t.capacity (Array.sub t.entries 0 t.n_scheduled)
+
 let drain t =
-  let pending = Array.of_list (List.map (fun it -> it.task) (Heap.to_list t.future)) in
-  Candidates.with_index ~present:false pending (fun cand ->
-      while step t cand do
-        ()
-      done);
-  Heap.clear t.j1;
-  Heap.clear t.j2;
+  schedule_pending t;
   schedule t
 
 let take_new_entries t =
-  let taken = List.rev t.fresh in
-  t.fresh <- [];
-  taken
+  let fresh = List.init (t.n_scheduled - t.taken) (fun i -> t.entries.(t.taken + i)) in
+  t.taken <- t.n_scheduled;
+  fresh

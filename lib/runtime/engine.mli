@@ -15,11 +15,14 @@
     - {b clairvoyant degeneration}: when every arrival time is [0.] the
       engine reproduces the corresponding offline schedule bit for bit —
       [Dynamic c] matches {!Dt_core.Dynamic_rules.run}[ c], and
-      [Corrected r] matches {!Dt_core.Corrected_rules.run}[ r] (the
-      online variant re-runs Johnson's algorithm on the known suffix at
-      every decision point; on a subset of the full task set Johnson's
-      order is the induced subsequence of the full order, so the two
-      coincide). This is property-tested.
+      [Corrected r] matches {!Dt_core.Corrected_rules.run}[ r]. A drain
+      {e is} the offline loop run over the arrived prefix: the same
+      candidate index, and each decision is
+      {!Dt_core.Dynamic_rules.decide}, the step the offline rules take.
+      The online Johnson head is the first arrived, unscheduled task in
+      Johnson's order over the drain's tasks; on a subset Johnson's order
+      is the induced subsequence of the full order, so with every task
+      arrived it is the offline head. This is property-tested.
     - {b admission control}: a task whose memory requirement alone
       exceeds the capacity is rejected rather than accepted-and-stuck,
       and the pending queue is bounded, exposing backpressure to the
@@ -30,9 +33,8 @@ type policy =
       (** pure dynamic selection over the arrived tasks (min-idle filter
           then LCMR/SCMR/MAMR tie-break), Section 4.2 online *)
   | Corrected of Dt_core.Corrected_rules.rule
-      (** Johnson's order re-computed on the known suffix at each
-          decision point, with dynamic corrections when its head does not
-          fit, Section 4.3 online *)
+      (** the head of Johnson's order over the arrived tasks, with
+          dynamic corrections when it does not fit, Section 4.3 online *)
 
 val all_policies : policy list
 val policy_name : policy -> string
@@ -69,8 +71,8 @@ val submit : t -> ?arrival:float -> Dt_core.Task.t -> admission
     id <id>"] — the old list-based engine silently dropped both copies on
     removal instead. Ids of already-scheduled tasks may be reused. An
     accepted task becomes visible to the scheduler only once virtual time
-    reaches its arrival. O(log n) per submission, arrivals in any
-    order. *)
+    reaches its arrival. Amortised O(1) per submission (an append to the
+    pending set and its id set), arrivals in any order. *)
 
 val pending : t -> int
 (** Submitted tasks not yet scheduled (arrived or not). *)
@@ -86,19 +88,29 @@ val makespan : t -> float
 (** Completion time of the last scheduled computation so far ([0.] before
     any task is scheduled). *)
 
-val drain : t -> Dt_core.Schedule.t
-(** Run the decision loop until every submitted task is scheduled
-    (advancing virtual time through arrivals as needed) and return the
-    full schedule so far. The engine stays usable: later submissions
-    continue from the drained state, as in batched scheduling.
+val schedule_pending : t -> unit
+(** Run the decision loop until every submitted task is scheduled,
+    advancing virtual time through arrivals as needed. The engine stays
+    usable: later submissions continue from the drained state, as in
+    batched scheduling. {!makespan} and {!scheduled} then read the
+    result without building a schedule.
 
-    The queues behind a drain are rebuilt per drain: arrived tasks enter
-    a candidate index built over the pending set and, under a
-    [Corrected] policy, two plain Johnson heaps. A task a correction
-    takes out of Johnson order stays in its heap until it reaches the
-    top and is skipped there; both heaps are emptied when the drain
-    ends, so an id reused by a later submission never meets a stale
-    copy. *)
+    A drain works on the pending set as one array. Unless every task
+    has already arrived, it is sorted once by [(arrival, id)], so the
+    tasks arrived at the drain's start form a prefix: the candidate
+    index is built with that prefix present, in one O(n) pass, and a
+    cursor over the rest adds each task as virtual time reaches it.
+    Under a [Corrected] policy the drain's tasks are sorted once into
+    Johnson's order. While tasks are still to arrive, an int min-tree
+    over their ranks marks the arrived, unscheduled ones: its root is the
+    Johnson head, each arrival updates it in O(log n), and a task taken
+    by a correction is cleared when it reaches the root. Once all have
+    arrived, a cursor over Johnson's order replaces the tree, as in
+    {!Dt_core.Corrected_rules}. All of it is rebuilt per drain, so an id
+    reused by a later submission never meets a stale copy. *)
+
+val drain : t -> Dt_core.Schedule.t
+(** {!schedule_pending}, then the full {!schedule} so far. *)
 
 val schedule : t -> Dt_core.Schedule.t
 (** The schedule of everything scheduled so far, without draining. *)

@@ -305,13 +305,34 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
   let num_conns = ref 0 in
   let all_conns () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
   let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  (* Out of fds (EMFILE/ENFILE), accept fails while the listen fd stays
+     readable, so level-triggered polling would report it again at once
+     and the loop would spin. Accepting pauses instead: read interest on
+     the listen fd is dropped until a connection closes or, when none
+     does, the next heartbeat. Each pause is counted in STATS. *)
+  let accept_paused_at = ref Float.nan (* nan while accepting *)
+  and accept_pauses = ref 0 in
+  let pause_accept () =
+    if Float.is_nan !accept_paused_at then begin
+      Poller.modify poller t.listen_fd ~read:false ~write:false;
+      accept_paused_at := Unix.gettimeofday ();
+      incr accept_pauses
+    end
+  in
+  let resume_accept () =
+    if not (Float.is_nan !accept_paused_at) then begin
+      Poller.modify poller t.listen_fd ~read:true ~write:false;
+      accept_paused_at := Float.nan
+    end
+  in
   let drop c =
     if not c.dead then begin
       c.dead <- true;
       Hashtbl.remove conns c.fd;
       decr num_conns;
       Poller.remove poller c.fd;
-      close_fd c.fd
+      close_fd c.fd;
+      resume_accept ()
     end
   in
   (* Interest follows connection state: read while the peer may send
@@ -386,7 +407,9 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
     go ()
   in
   let conn_info shard () =
-    let backend = "backend=" ^ Poller.backend_name poller in
+    let backend =
+      Printf.sprintf "backend=%s accept_pauses=%d" (Poller.backend_name poller) !accept_pauses
+    in
     let alloc =
       let reqs = Atomic.get alloc_reqs in
       if reqs = 0 then ""
@@ -519,6 +542,7 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
       | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
         ->
           ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> pause_accept ()
       | exception Unix.Unix_error _ -> ()
       | fd, _ ->
           if !num_conns >= max_conns then begin
@@ -581,6 +605,10 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
     (fun () ->
       while not (Atomic.get t.stop) do
         let events = Poller.wait poller ~timeout:(compute_timeout ()) in
+        if
+          (not (Float.is_nan !accept_paused_at))
+          && Unix.gettimeofday () -. !accept_paused_at >= max_wait_s
+        then resume_accept ();
         let touched = ref [] in
         let accept_ready = ref false in
         (* 1. collect batches finished on the shards since last round
@@ -639,6 +667,7 @@ let run ?pool ?(backend = `Auto) ?(max_conns = 512) ?max_output_bytes
          acknowledgement in particular), then close all remaining
          connections — so one stuck reader or one slow batch cannot hold
          the shutdown hostage *)
+      accept_paused_at := Float.nan;
       Poller.remove poller t.listen_fd;
       close_fd t.listen_fd;
       List.iter

@@ -1,8 +1,8 @@
 (* The flat candidate index against the list scan it replaces: random
    interleavings of add, remove and select, checked step by step against
-   [Dynamic_rules.select] on the present tasks that fit. Plus its error
-   and lifetime contracts and the allocation budgets of the loops built
-   on it. *)
+   the frozen [Dt_reference.Dyn.select] on the present tasks that fit.
+   Plus its error and lifetime contracts and the allocation budgets of
+   the loops built on it. *)
 
 open Dt_core
 
@@ -81,7 +81,8 @@ let case_gen =
       Array.of_list
         (List.map2 (fun (comm, comp, mem) id -> Task.make ~id ~comm ~comp ~mem ()) triples ids)
     in
-    let* present = bool in
+    (* the present prefix of the build: none, all or some slots *)
+    let* present = frequency [ (2, return 0); (2, return n); (3, int_range 0 n) ] in
     let slot = if n = 0 then return 0 else int_range 0 (n - 1) in
     let* ops =
       list_size (int_range 0 80)
@@ -103,7 +104,7 @@ let print_case (tasks, present, ops) =
         Printf.sprintf "select %s filter=%b used=%g kcap=%g cpu_free=%g now=%g"
           (Dynamic_rules.name crit) filter used kcap cpu_free now
   in
-  Printf.sprintf "tasks=[%s] present=%b\n%s"
+  Printf.sprintf "tasks=[%s] present=%d\n%s"
     (String.concat " " (Array.to_list (Array.map task tasks)))
     present
     (String.concat "\n" (List.map op ops))
@@ -113,7 +114,7 @@ let id_of = Option.map (fun (t : Task.t) -> t.Task.id)
 let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
 
 let index_matches_scan (tasks, present, ops) =
-  let live = Array.make (Array.length tasks) present in
+  let live = Array.init (Array.length tasks) (fun s -> s < present) in
   Candidates.with_index ~present tasks (fun idx ->
       List.for_all
         (fun op ->
@@ -140,7 +141,7 @@ let index_matches_scan (tasks, present, ops) =
                   (Array.to_list tasks)
               in
               let expected =
-                Dynamic_rules.select ~min_idle_filter:filter crit ~cpu_free ~now fitting
+                Dt_reference.Dyn.select ~min_idle_filter:filter crit ~cpu_free ~now fitting
               in
               let got =
                 Candidates.select ~min_idle_filter:filter idx (Dynamic_rules.crit_of crit)
@@ -289,7 +290,7 @@ let alloc_tests_executor_fleet =
 (* The selections of one add/remove/select script, on the present tasks
    of an index built over [tasks]. *)
 let selections (tasks, present, ops) =
-  let live = Array.make (Array.length tasks) present in
+  let live = Array.init (Array.length tasks) (fun s -> s < present) in
   Candidates.with_index ~present tasks (fun idx ->
       List.filter_map
         (fun op ->
@@ -366,6 +367,69 @@ let changed_field_rebuilds =
          index_matches_scan case && index_matches_scan case'
          && selections case' = fresh_selections case'))
 
+(* Every answer of an index along one script: after each operation the
+   select's pick (for a select), the size, and the membership of every
+   task id and of one id no task has. *)
+let answers idx tasks live ops =
+  let absent_id = 1 + Array.fold_left (fun a (u : Task.t) -> max a u.Task.id) 0 tasks in
+  let state pick =
+    ( pick,
+      Candidates.size idx,
+      Candidates.mem idx absent_id,
+      Array.to_list (Array.map (fun (t : Task.t) -> Candidates.mem idx t.Task.id) tasks) )
+  in
+  state None
+  :: List.map
+       (fun op ->
+         match op with
+         | Add _ | Remove _ when Array.length tasks = 0 -> state None
+         | Add s ->
+             if not live.(s) then begin
+               Candidates.add idx tasks.(s);
+               live.(s) <- true
+             end;
+             state None
+         | Remove s ->
+             if live.(s) then begin
+               Candidates.remove idx tasks.(s);
+               live.(s) <- false
+             end;
+             state None
+         | Select { crit; filter; used; kcap; cpu_free; now } ->
+             state
+               (id_of
+                  (Candidates.select ~min_idle_filter:filter idx (Dynamic_rules.crit_of crit)
+                     ~used ~kcap ~cpu_free ~now)))
+       ops
+
+let prefix_out_of_range () =
+  let tasks = [| task ~id:0 ~comm:1.0; task ~id:1 ~comm:2.0 |] in
+  List.iter
+    (fun k ->
+      Alcotest.check_raises "present prefix"
+        (Invalid_argument "Candidates.with_index: present out of range")
+        (fun () -> Candidates.with_index ~present:k tasks ignore))
+    [ -1; 3 ]
+
+let prefix_build_matches_adds =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"a present-prefix build = an all-absent build plus k adds"
+       ~print:print_case case_gen
+       (fun (tasks, present, ops) ->
+         let live () = Array.init (Array.length tasks) (fun s -> s < present) in
+         let built =
+           Candidates.with_index ~present tasks (fun idx -> answers idx tasks (live ()) ops)
+         in
+         let added =
+           Candidates.with_index ~present:0 tasks (fun idx ->
+               for s = 0 to present - 1 do
+                 Candidates.add idx tasks.(s)
+               done;
+               answers idx tasks (live ()) ops)
+         in
+         built = added))
+
 let failed_build_leaves_nothing () =
   let good = [| task ~id:0 ~comm:1.0; task ~id:1 ~comm:2.0; task ~id:2 ~comm:3.0 |]
   and dup = [| task ~id:0 ~comm:1.0; task ~id:1 ~comm:2.0; task ~id:1 ~comm:3.0 |] in
@@ -382,7 +446,7 @@ let failed_build_leaves_nothing () =
   Alcotest.(check bool) "a valid build afterwards" true
     (index_matches_scan
        ( good,
-         true,
+         Array.length good,
          [ Select { crit = Dynamic_rules.LCMR; filter = true; used = 0.0; kcap = 10.0; cpu_free = 5.0; now = 0.0 } ] ))
 
 (* A custom static order indexes its own array rather than the
@@ -423,3 +487,7 @@ let suite =
       corrected_custom_order;
     ]
   @ alloc_tests_executor_fleet
+  @ [
+      prefix_build_matches_adds;
+      Alcotest.test_case "a present prefix outside [0, n] raises" `Quick prefix_out_of_range;
+    ]

@@ -1,6 +1,6 @@
 (* Equivalence pinning for the O(n log n) decision-loop rewrite: the
-   incremental implementations (Candidates index, arrival heap,
-   incremental Johnson order) must produce bit-identical schedules to the
+   incremental implementations (Candidates index, arrival-sorted pending
+   set, Johnson rank tree) must produce bit-identical schedules to the
    frozen pre-rewrite copies in Dt_reference, on every policy, with and
    without the min-idle filter, and under random arrival times. The
    cluster simulator is pinned the same way against its indexed-heap,
@@ -80,8 +80,8 @@ let engine_prop policy =
       same_schedule (Engine.drain eng) (Dt_reference.Eng.drain reference))
 
 (* Satellite: an out-of-order (here: fully reversed) submission stream
-   must land on the same schedule as the in-order one — the arrival heap
-   canonicalises (arrival, id) regardless of submission order. *)
+   must land on the same schedule as the in-order one — a drain sorts the
+   pending set by (arrival, id) regardless of submission order. *)
 let reversed_replay_prop =
   online_prop_test ~name:"reversed-arrival replay = in-order replay, bit for bit"
     (fun (i, arrivals) ->
@@ -159,6 +159,140 @@ let redrain_prop policy =
            same_schedule (Engine.drain eng) (Dt_reference.Eng.drain reference)
          in
          drain first && drain second))
+
+(* Arrival patterns aimed at a drain's Johnson rank tree, relative to
+   the link time [now] at the drain's start: the tasks early in Johnson's
+   order arriving last ([Johnson_late step]: rank r of n arrives at
+   now + (n - 1 - r) * step, all at [now] for step 0), or each task
+   before, at or after [now] ([Around], offsets in steps of 0.75, clamped
+   at 0). *)
+type pattern = Johnson_late of float | Around of int list
+
+let pattern_gen n =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, map (fun step -> Johnson_late step) (oneofl [ 0.0; 0.25; 1.0; 3.0 ]));
+        (1, map (fun l -> Around l) (list_repeat n (int_range (-3) 3)));
+      ])
+
+let pattern_print = function
+  | Johnson_late step -> Printf.sprintf "johnson-late %g" step
+  | Around l -> "around [" ^ String.concat " " (List.map string_of_int l) ^ "]"
+
+let arrivals_of pattern ~now tasks =
+  match pattern with
+  | Johnson_late step ->
+      let order = Johnson.order tasks and n = List.length tasks in
+      List.map
+        (fun (t : Task.t) ->
+          let rec rank r = function
+            | [] -> assert false
+            | (u : Task.t) :: rest -> if u.Task.id = t.Task.id then r else rank (r + 1) rest
+          in
+          now +. (Float.of_int (n - 1 - rank 0 order) *. step))
+        tasks
+  | Around offsets ->
+      List.map (fun k -> Float.max 0.0 (now +. (Float.of_int k *. 0.75))) offsets
+
+(* Three drains on one engine, each batch reusing the ids 0..n-1 of the
+   previous ones, under one of the patterns above. *)
+let rank_tree_prop policy =
+  let batch =
+    QCheck2.Gen.(
+      let* i = instance_gen in
+      let* pattern = pattern_gen (Instance.size i) in
+      return (i, pattern))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:
+         (Printf.sprintf "Engine %s, rank-tree arrivals over three drains = reference"
+            (Engine.policy_name policy))
+       ~print:(fun batches ->
+         String.concat " then "
+           (List.map
+              (fun (i, p) -> Generators.instance_print i ^ " " ^ pattern_print p)
+              batches))
+       (QCheck2.Gen.list_repeat 3 batch)
+       (fun batches ->
+         let capacity =
+           List.fold_left (fun c (i, _) -> Float.max c i.Instance.capacity) 0.0 batches
+         in
+         let eng = Engine.create ~policy ~capacity () in
+         let reference = Dt_reference.Eng.create ~policy ~capacity () in
+         List.for_all
+           (fun (i, pattern) ->
+             let tasks = Instance.task_list i in
+             List.iter2
+               (fun task arrival ->
+                 ignore (Engine.submit eng ~arrival task);
+                 Dt_reference.Eng.submit reference ~arrival task)
+               tasks
+               (arrivals_of pattern ~now:(Engine.now eng) tasks);
+             same_schedule (Engine.drain eng) (Dt_reference.Eng.drain reference))
+           batches))
+
+(* POLL's feed: entries taken after any mix of drains and polls are, in
+   order, the entries the reference's drains added since the previous
+   poll, as the list-based feed returned them. *)
+let poll_feed_prop =
+  let step =
+    QCheck2.Gen.(
+      let* i = instance_gen in
+      let* arrivals =
+        list_repeat (Instance.size i) (map (fun x -> float_of_int x /. 4.0) (int_range 0 40))
+      in
+      let* polls = int_range 0 2 in
+      return (i, arrivals, polls))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"POLL entries = the list feed, in order"
+       ~print:(fun steps ->
+         String.concat " then "
+           (List.map
+              (fun (i, arrivals, polls) ->
+                Printf.sprintf "%s, %d polls" (online_print (i, arrivals)) polls)
+              steps))
+       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 4) step)
+       (fun steps ->
+         let capacity =
+           List.fold_left (fun c (i, _, _) -> Float.max c i.Instance.capacity) 0.0 steps
+         in
+         let eng = Engine.create ~capacity () in
+         let reference = Dt_reference.Eng.create ~policy:(Engine.policy eng) ~capacity () in
+         let seen = ref 0 in
+         let same (a : Schedule.entry list) (b : Schedule.entry list) =
+           List.length a = List.length b
+           && List.for_all2
+                (fun (x : Schedule.entry) (y : Schedule.entry) ->
+                  Task.equal x.Schedule.task y.Schedule.task
+                  && x.Schedule.s_comm = y.Schedule.s_comm
+                  && x.Schedule.s_comp = y.Schedule.s_comp)
+                a b
+         in
+         List.for_all
+           (fun (i, arrivals, polls) ->
+             List.iter2
+               (fun task arrival ->
+                 ignore (Engine.submit eng ~arrival task);
+                 Dt_reference.Eng.submit reference ~arrival task)
+               (Instance.task_list i) arrivals;
+             ignore (Engine.drain eng);
+             ignore (Dt_reference.Eng.drain reference);
+             (* in scheduling order, which a schedule's sorted entries
+                lose on zero-length ties *)
+             let all = List.rev reference.Dt_reference.Eng.entries in
+             List.for_all
+               (fun _ ->
+                 let fresh = List.filteri (fun k _ -> k >= !seen) all in
+                 seen := List.length all;
+                 same (Engine.take_new_entries eng) fresh)
+               (List.init polls Fun.id))
+           steps
+         && (* a last poll returns whatever no poll took yet *)
+         let all = List.rev reference.Dt_reference.Eng.entries in
+         same (Engine.take_new_entries eng) (List.filteri (fun k _ -> k >= !seen) all)))
 
 (* All four tasks are compute-intensive, so Johnson's order is A B C E
    by comm. A fits and goes first; at t = 1 the head B does not fit
@@ -360,4 +494,6 @@ let suite =
         Alcotest.test_case "First-Fit with one bin per task (20,000 tasks)" `Quick
           bp_one_bin_per_task;
       ];
+      List.map rank_tree_prop Engine.all_policies;
+      [ poll_feed_prop ];
     ]

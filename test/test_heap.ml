@@ -1,5 +1,5 @@
 (* Unit and property tests of the plain binary min-heap behind the
-   cluster simulator's event queue and the online engine's queues. *)
+   cluster simulator's event queue. *)
 
 open Dt_core
 

@@ -115,9 +115,10 @@ let engine_is_resumable () =
   Alcotest.(check (float 0.0)) "second batch waited for its arrival" 12.0
     (Schedule.makespan second)
 
-(* Between drains every pending task sits in the arrival heap, the only
-   place Engine.submit looks for duplicates: the drain's candidate index
-   is built at drain start and gone when the drain returns. *)
+(* Between drains every pending task sits in the pending array, whose
+   id set is the only place Engine.submit looks for duplicates: the
+   drain's candidate index is built at drain start and gone when the
+   drain returns. *)
 let duplicate_ids_across_drains () =
   let engine = Engine.create ~capacity:4.0 () in
   let mk id comm = Task.make ~id ~comm ~comp:1.0 ~mem:1.0 () in
